@@ -32,7 +32,7 @@ fuzz-smoke:
 # Refresh the baseline deliberately with:
 #   go run ./cmd/dcluebench -bench-out kernel_bench.txt -sweeps BENCH_kernel.json -write-baseline
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedule$$|BenchmarkScheduleDepth$$|BenchmarkCancel$$|BenchmarkProcSwitch$$' -benchmem -count 3 ./internal/sim | tee kernel_bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSchedule$$|BenchmarkScheduleDepth$$|BenchmarkCancel$$|BenchmarkProcSwitch$$|BenchmarkProcHandOff$$' -benchmem -count 3 ./internal/sim | tee kernel_bench.txt
 	$(GO) build -o dclueexp ./cmd/dclueexp
 	rm -f BENCH_kernel.json
 	./dclueexp -fig 2 -quick -j 1 -bench BENCH_kernel.json > /dev/null

@@ -24,7 +24,7 @@ import (
 // sweep never races it — and never perturbs it, since handlers only read.
 type statusServer struct {
 	start time.Time
-	coord *farm.Coordinator       // nil without -farm
+	coord *farm.Coordinator         // nil without -farm
 	tel   *dclue.TelemetryCollector // nil without -telemetry
 }
 

@@ -195,13 +195,13 @@ func (c *Cluster) crashNode(i int) {
 	up.SetDown(true)
 	down.SetDown(true)
 
-	// Tear down the CPU's continuation-style interrupt channels (queued and
-	// in-flight protocol work dies with the node), then kill every process
-	// the node owns, oldest first (spawn order) so teardown is deterministic.
+	// Tear down the CPU's continuations (its interrupt channels, whose queued
+	// and in-flight protocol work dies with the node, and its stats tick),
+	// then kill every process the node owns, oldest first (spawn order) so
+	// teardown is deterministic.
 	n.cpu.Stop()
 	var procs []*sim.Proc
 	procs = append(procs, n.dbn.Procs()...)
-	procs = append(procs, n.cpu.Procs()...)
 	procs = append(procs, n.tracked...)
 	live := procs[:0]
 	for _, p := range procs {

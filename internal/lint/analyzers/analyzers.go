@@ -70,7 +70,7 @@ func concurrencyExempt(pkgPath string) bool {
 
 // continuationOnly lists the hot-path packages rebuilt as continuation
 // (callback) actors: they run at per-packet/per-segment event rates where a
-// goroutine-backed sim.Proc step costs two real context switches, so
+// sim.Proc wake that crosses goroutines costs a real goroutine switch, so
 // reintroducing Proc or Mailbox there would silently undo the kernel
 // speedup. The bare "continuation" path is the lint fixture standing in for
 // a real hot-path package (fixture packages have bare import paths).
@@ -78,4 +78,3 @@ func continuationOnly(pkgPath string) bool {
 	return pkgPath == "dclue/internal/netsim" ||
 		pkgPath == "continuation"
 }
-

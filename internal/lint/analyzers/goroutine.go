@@ -18,8 +18,9 @@ import (
 //
 // The analyzer also knows the continuation actor style: packages on the
 // continuation-only list (see continuationOnly) are per-packet hot paths
-// that were deliberately rebuilt as callback state machines, where each
-// goroutine-backed sim.Proc step would cost two real context switches.
+// that were deliberately rebuilt as callback state machines, where a
+// goroutine-backed sim.Proc would put a real goroutine switch on every wake
+// that crosses goroutines.
 // There it additionally flags the goroutine-backed kernel primitives —
 // naming the sim.Proc or sim.Mailbox types, or calling sim.NewMailbox —
 // since any use of the process API has to name one of them. Pure callback
@@ -61,7 +62,7 @@ func runGoroutine(pass *analysis.Pass) error {
 						return true
 					}
 					if path, isPkg := pass.PkgNameOf(f, id); isPkg && isSimImport(path) {
-						pass.Reportf(n.Pos(), "sim.%s in a continuation-only package: this hot path runs as callback state machines; goroutine-backed processes would reintroduce two context switches per event", n.Sel.Name)
+						pass.Reportf(n.Pos(), "sim.%s in a continuation-only package: this hot path runs as callback state machines; goroutine-backed processes would reintroduce goroutine switches on a per-event path", n.Sel.Name)
 					}
 				}
 			}

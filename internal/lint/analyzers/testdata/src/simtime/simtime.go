@@ -7,8 +7,8 @@ import "time"
 const tick = 5 * time.Millisecond
 
 func modelStep() time.Duration {
-	start := time.Now() // want `wall-clock access time\.Now`
-	time.Sleep(tick)    // want `wall-clock access time\.Sleep`
+	start := time.Now()      // want `wall-clock access time\.Now`
+	time.Sleep(tick)         // want `wall-clock access time\.Sleep`
 	return time.Since(start) // want `wall-clock access time\.Since`
 }
 

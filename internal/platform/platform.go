@@ -97,10 +97,10 @@ const (
 
 // CPU is one node's processor complex.
 type CPU struct {
-	sim   *sim.Sim
-	cfg   Config
-	res   *sim.Resource
-	procs []*sim.Proc // stats ticker, for teardown on node crash
+	sim    *sim.Sim
+	cfg    Config
+	res    *sim.Resource
+	tickFn func() // prebuilt stats tick, re-armed every StatTick
 
 	remoteFraction float64
 	cachedCPI      float64
@@ -190,8 +190,8 @@ func (r *irqRing) reset() {
 // irqService is one interrupt channel: the continuation analogue of the old
 // goroutine-backed irq server. Its three prebuilt callbacks (start → grant →
 // finish) mirror, event for event, the park/wake sequence of the goroutine
-// version — schedule order and simulated times are identical, only the two
-// real context switches per task are gone.
+// version — schedule order and simulated times are identical, only the
+// goroutine switches per task are gone.
 type irqService struct {
 	cpu    *CPU
 	task   irqTask
@@ -202,8 +202,7 @@ type irqService struct {
 	finish func()
 }
 
-// NewCPU creates the processor complex and starts its bookkeeping
-// processes.
+// NewCPU creates the processor complex and arms its stats tick.
 func NewCPU(s *sim.Sim, cfg Config) *CPU {
 	c := &CPU{
 		sim:        s,
@@ -221,19 +220,22 @@ func NewCPU(s *sim.Sim, cfg Config) *CPU {
 		svc.finish = func() { svc.doFinish() }
 		c.services = append(c.services, svc)
 	}
-	c.procs = append(c.procs, s.Spawn("cpustats", c.ticker))
+	// The first tick is armed from an event at the current instant rather
+	// than directly: that keeps every event's (time, seq), and so every
+	// pinned fingerprint, unchanged.
+	c.tickFn = c.tick
+	s.After(0, func() {
+		if !c.dead {
+			s.After(cfg.StatTick, c.tickFn)
+		}
+	})
 	return c
 }
-
-// Procs returns the CPU's internal processes (the stats ticker) in spawn
-// order, so a node crash can tear the complex down. Interrupt channels are
-// not processes; Stop tears them down.
-func (c *CPU) Procs() []*sim.Proc { return c.procs }
 
 // Stop tears down the interrupt machinery on node crash: pending completion
 // events are cancelled (their done callbacks never run — the work died with
 // the node), queued tasks are dropped, and later Process calls no-op. The
-// caller separately kills the procs from Procs(). Kernel context.
+// pending stats tick fires as a no-op and does not re-arm. Kernel context.
 func (c *CPU) Stop() {
 	c.dead = true
 	c.irqQ.reset()
@@ -301,15 +303,17 @@ func (c *CPU) computeCPI() float64 {
 // CPI returns the current effective cycles-per-instruction.
 func (c *CPU) CPI() float64 { return c.cachedCPI }
 
-// ticker refreshes the instruction-rate estimate and cached CPI.
-func (c *CPU) ticker(p *sim.Proc) {
-	for {
-		p.Sleep(c.cfg.StatTick)
-		rate := c.instrSinceTick / c.cfg.StatTick.Seconds()
-		c.instrSinceTick = 0
-		c.instrRate = 0.5*c.instrRate + 0.5*rate
-		c.cachedCPI = c.computeCPI()
+// tick refreshes the instruction-rate estimate and cached CPI, then re-arms
+// itself for the next StatTick. A stopped CPU's tick does neither.
+func (c *CPU) tick() {
+	if c.dead {
+		return
 	}
+	rate := c.instrSinceTick / c.cfg.StatTick.Seconds()
+	c.instrSinceTick = 0
+	c.instrRate = 0.5*c.instrRate + 0.5*rate
+	c.cachedCPI = c.computeCPI()
+	c.sim.After(c.cfg.StatTick, c.tickFn)
 }
 
 // SetSlowFactor sets the fault-injection slowdown multiplier on all CPU

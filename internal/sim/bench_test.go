@@ -71,9 +71,9 @@ func BenchmarkCancel(b *testing.B) {
 	s.RunAll()
 }
 
-// BenchmarkProcSwitch measures one goroutine-backed process step (park +
-// wake, two real context switches) for comparison against the continuation
-// path benchmarked above.
+// BenchmarkProcSwitch measures one process step on the no-switch resume
+// path: a lone sleeper's own goroutine runs the calendar, so its wake is a
+// plain return from park. Compare against the continuation path above.
 func BenchmarkProcSwitch(b *testing.B) {
 	s := New()
 	s.Spawn("bench", func(p *Proc) {
@@ -84,6 +84,27 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.RunAll()
+	b.ReportMetric(float64(s.Switches())/float64(b.N), "switches/op")
+}
+
+// BenchmarkProcHandOff measures a wake that crosses goroutines: two
+// processes sleep in alternation (one at odd instants, one at even), so
+// every wake hands the calendar to the other process's goroutine — one real
+// goroutine switch per step.
+func BenchmarkProcHandOff(b *testing.B) {
+	s := New()
+	for i := 0; i < 2; i++ {
+		first := Time(2 - i)
+		s.Spawn("bench", func(p *Proc) {
+			for t := first; t <= Time(b.N); t += 2 {
+				p.SleepUntil(t)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunAll()
+	b.ReportMetric(float64(s.Switches())/float64(b.N), "switches/op")
 }
 
 // TestScheduleSteadyStateAllocs pins the tentpole property: once the pool has

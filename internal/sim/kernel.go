@@ -46,14 +46,21 @@ type Sim struct {
 	heap    eventHeap
 	stopped bool
 
-	// Process bookkeeping (see proc.go).
-	procs    map[*Proc]struct{}
-	procSeq  uint64 // next spawn-order number
-	current  *Proc
-	handback chan struct{}
+	horizon Time // end of the current run
 
-	// nEvents counts executed events, for diagnostics.
-	nEvents uint64
+	// Process bookkeeping (see proc.go).
+	procs   map[*Proc]struct{}
+	procSeq uint64 // next spawn-order number
+	current *Proc  // process whose code is running; nil in kernel context
+	caller  *Proc  // stands for the Run caller's goroutine; never spawned
+	host    *Proc  // owner of the goroutine that holds the calendar
+	next    *Proc  // goroutine the calendar passes to when the event returns
+	failure any    // callback panic caught off the caller's goroutine, rethrown by Run
+
+	// nEvents counts executed events and switches goroutine hand-offs,
+	// for diagnostics.
+	nEvents  uint64
+	switches uint64
 
 	tracer Tracer
 
@@ -64,7 +71,10 @@ type Sim struct {
 
 // New returns an empty simulation positioned at time zero.
 func New() *Sim {
-	return &Sim{procs: make(map[*Proc]struct{}), free: noSlot}
+	// The caller's channel is made here, never lazily: a lazily made one
+	// could race with the first process goroutine handing the calendar back.
+	caller := &Proc{name: "run caller", resume: make(chan struct{})}
+	return &Sim{procs: make(map[*Proc]struct{}), free: noSlot, caller: caller, host: caller}
 }
 
 // Now returns the current simulated time.
@@ -287,7 +297,7 @@ func (s *Sim) OnDeadlock(fn func(*DeadlockError)) { s.onDeadlock = fn }
 func (s *Sim) BlockedProcs() []string {
 	var names []string
 	for p := range s.procs {
-		if p.started() && !p.done {
+		if p.started && !p.done {
 			names = append(names, p.name)
 		}
 	}
@@ -298,7 +308,8 @@ func (s *Sim) BlockedProcs() []string {
 // Run executes events in time order until the calendar is empty, the
 // horizon is passed, or Stop is called. It returns the time of the last
 // executed event (or the horizon if it was reached). Run must not be called
-// from inside an event or process.
+// from inside a process. A panic in an event callback surfaces from Run on
+// the caller's goroutine, whichever goroutine ran the callback.
 func (s *Sim) Run(horizon Time) Time {
 	return s.run(horizon, true)
 }
@@ -311,18 +322,64 @@ func (s *Sim) RunAll() Time {
 }
 
 func (s *Sim) run(horizon Time, advance bool) Time {
-	if s.current != nil {
+	if s.host != s.caller {
 		panic("sim: Run called from inside a process")
 	}
 	s.stopped = false
-	for len(s.heap) > 0 && !s.stopped {
-		slot := s.heap[0]
-		e := &s.pool[slot]
-		if e.t > horizon {
-			s.now = horizon
-			return s.now
+	s.horizon = horizon
+	s.drive(s.caller)
+	if r := s.failure; r != nil {
+		s.failure = nil
+		panic(r)
+	}
+	if s.stopped {
+		return s.now
+	}
+	if len(s.heap) > 0 {
+		// The next event lies beyond the horizon.
+		s.now = horizon
+		return s.now
+	}
+	if s.onDeadlock != nil && len(s.procs) > 0 {
+		if names := s.BlockedProcs(); len(names) > 0 {
+			s.onDeadlock(&DeadlockError{At: s.now, Procs: names})
 		}
-		s.heapPopRoot()
+	}
+	if advance && s.now < horizon {
+		s.now = horizon
+	}
+	return s.now
+}
+
+// drive runs the calendar on the calling goroutine, which belongs to self
+// (s.caller on the Run caller's goroutine). It returns once self is to
+// resume: woken or killed, or for s.caller, the run is over. If the event
+// that ends a step names another goroutine, drive hands the calendar to it
+// and waits for its own turn. A dead self (a finished or killed process
+// whose goroutine still holds the calendar) returns instead, leaving s.next
+// set for the dying goroutine to pass on.
+func (s *Sim) drive(self *Proc) {
+	if self != s.caller {
+		defer s.catch(self)
+	}
+	for {
+		if to := s.next; to != nil {
+			if to == self {
+				s.next = nil
+				return
+			}
+			if self.done {
+				return
+			}
+			s.handOff(self)
+			return
+		}
+		if len(s.heap) == 0 || s.stopped || s.pool[s.heap[0]].t > s.horizon {
+			s.next = s.caller
+			continue
+		}
+		slot := s.heapPopRoot()
+		e := &s.pool[slot]
 		s.now = e.t
 		s.nEvents++
 		if s.tracer != nil {
@@ -335,13 +392,19 @@ func (s *Sim) run(horizon Time, advance bool) Time {
 		s.release(slot)
 		fn()
 	}
-	if len(s.heap) == 0 && !s.stopped && s.onDeadlock != nil && len(s.procs) > 0 {
-		if names := s.BlockedProcs(); len(names) > 0 {
-			s.onDeadlock(&DeadlockError{At: s.now, Procs: names})
-		}
+}
+
+// catch recovers a panic raised by an event callback on a process goroutine
+// and hands it, with the calendar, to the Run caller, which rethrows it. A
+// live self then waits here for its turn, as drive would have.
+func (s *Sim) catch(self *Proc) {
+	r := recover()
+	if r == nil {
+		return
 	}
-	if advance && !s.stopped && s.now < horizon {
-		s.now = horizon
+	s.failure = r
+	s.next = s.caller
+	if !self.done {
+		s.handOff(self)
 	}
-	return s.now
 }

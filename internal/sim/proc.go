@@ -5,30 +5,34 @@ import (
 	"sort"
 )
 
-// killSentinel is the panic value used to unwind a killed process.
+// killPanic is the panic value that unwinds a killed process through its
+// own code, running its deferred functions.
 type killPanic struct{}
 
-// resumeMsg is what the kernel hands a parked process when waking it.
-type resumeMsg struct {
-	kill bool
-	val  any
-}
-
-// Proc is a simulated process: a Go function running on its own goroutine
-// under strict hand-off with the kernel. Exactly one goroutine — either the
-// kernel or one process — runs at any instant, so process code needs no
+// Proc is a simulated process: a Go function running on its own goroutine.
+// Exactly one goroutine runs at any instant, so process code needs no
 // locking and the simulation stays deterministic.
+//
+// The calendar travels with the running goroutine. A process that blocks
+// does not hand control back to the Run caller: its goroutine goes on firing
+// events itself until one of them wakes some process. Waking the process
+// that owns that goroutine is a plain return from the block (no goroutine
+// switch); waking any other process hands the calendar straight to that
+// process's goroutine (one switch). The Run caller is handed the calendar
+// back only when the run ends. Sim.Switches counts the hand-offs.
 //
 // All Proc methods must be called from the process's own function.
 type Proc struct {
-	sim         *Sim
-	name        string
-	seq         uint64 // spawn order; fixes iteration order over proc sets
-	resume      chan resumeMsg
-	done        bool
-	goroutineUp bool
-	span        any
-	wakeFn      func() // prebuilt wake(nil) continuation, so Sleep never allocates
+	sim     *Sim
+	name    string
+	seq     uint64      // spawn order; fixes iteration order over proc sets
+	fn      func(*Proc) // body awaiting its goroutine; nil once that goroutine exists
+	resume  chan struct{}
+	val     any  // value delivered by the pending wake
+	started bool // start event has fired
+	done    bool
+	span    any
+	wakeFn  func() // prebuilt wake(nil) continuation, so Sleep never allocates
 }
 
 // Name returns the process name given at Spawn time.
@@ -44,7 +48,8 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.sim.now }
 
-// Done reports whether the process function has returned.
+// Done reports whether the process function has returned or the process
+// has been killed.
 func (p *Proc) Done() bool { return p.done }
 
 // SetSpan attaches an opaque trace context to the process (nil detaches).
@@ -60,75 +65,111 @@ func (p *Proc) Span() any { return p.span }
 // current simulated time. fn runs until it returns, blocks on a kernel
 // primitive, or the process is killed.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, seq: s.procSeq, resume: make(chan resumeMsg)}
+	p := &Proc{sim: s, name: name, seq: s.procSeq, fn: fn, resume: make(chan struct{})}
 	p.wakeFn = func() { p.wake(nil) }
 	s.procSeq++
 	s.procs[p] = struct{}{}
-	s.After(0, func() { p.start(fn) })
+	s.After(0, p.start)
 	return p
 }
 
-// handback lazily creates the kernel hand-back channel.
-func (s *Sim) handbackCh() chan struct{} {
-	if s.handback == nil {
-		s.handback = make(chan struct{})
-	}
-	return s.handback
-}
-
-// start launches the process goroutine and runs it until its first yield.
-// Called from kernel context (an event).
-func (p *Proc) start(fn func(*Proc)) {
+// start is the process's start event: when it returns, the calendar passes
+// to a fresh goroutine running the process function.
+func (p *Proc) start() {
 	if p.done {
 		return // killed before its start event fired
 	}
 	s := p.sim
-	hb := s.handbackCh()
-	p.goroutineUp = true
-	s.current = p
+	p.started = true
 	if s.tracer != nil {
 		s.tracer.ProcStart(s.now, p.name)
 	}
-	go func() {
-		defer func() {
-			r := recover()
-			p.done = true
-			delete(s.procs, p)
-			_, killed := r.(killPanic)
-			if r != nil && !killed {
-				// A real model bug: crash loudly with context.
-				panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.name, s.now, r))
-			}
-			if s.tracer != nil {
-				s.tracer.ProcEnd(s.now, p.name, killed)
-			}
-			hb <- struct{}{}
-		}()
-		fn(p)
-	}()
-	<-hb
-	s.current = nil
+	s.next = p
 }
 
-// park yields control to the kernel and blocks until some event calls wake.
-// Returns the value passed to wake.
+// body runs on the process's own goroutine. When fn returns or the process
+// is killed, the goroutine still holds the calendar: it fires events until
+// the calendar must go to another goroutine, passes it on and exits. The
+// tail runs deferred so that runtime.Goexit in process code (a test's
+// t.FailNow) also passes the calendar on.
+func (p *Proc) body(fn func(*Proc)) {
+	s := p.sim
+	defer func() {
+		r := recover()
+		if _, killed := r.(killPanic); r != nil && !killed {
+			// A real model bug: crash loudly with context.
+			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.name, s.now, r))
+		}
+		if !p.done {
+			p.finish(false)
+		}
+		s.current = nil
+		s.drive(p)
+		s.pass()
+	}()
+	s.current = p
+	fn(p)
+}
+
+// finish marks the process done and drops it from the live set.
+func (p *Proc) finish(killed bool) {
+	s := p.sim
+	p.done = true
+	delete(s.procs, p)
+	if s.tracer != nil {
+		s.tracer.ProcEnd(s.now, p.name, killed)
+	}
+}
+
+// handOff passes the calendar on and blocks until self's goroutine is
+// handed it back.
+func (s *Sim) handOff(self *Proc) {
+	s.pass()
+	<-self.resume
+}
+
+// pass hands the calendar to the goroutine of s.next, starting that
+// goroutine if its process has none yet. It does not wait: the calling
+// goroutine must touch nothing afterwards but its own resume channel, or
+// exit.
+func (s *Sim) pass() {
+	to := s.next
+	s.next = nil
+	s.host = to
+	s.switches++
+	if fn := to.fn; fn != nil {
+		to.fn = nil
+		go to.body(fn)
+		return
+	}
+	to.resume <- struct{}{}
+}
+
+// park blocks the process until some event calls wake, and returns the value
+// passed to wake. Meanwhile the process's goroutine runs the calendar.
 func (p *Proc) park() any {
 	s := p.sim
 	if s.current != p {
 		panic(fmt.Sprintf("sim: process %q parking while not current", p.name))
 	}
 	s.current = nil
-	s.handbackCh() <- struct{}{}
-	msg := <-p.resume
-	if msg.kill {
-		panic(killPanic{})
+	s.drive(p)
+	if p.done {
+		panic(killPanic{}) // killed while parked
 	}
-	return msg.val
+	s.current = p
+	v := p.val
+	p.val = nil
+	return v
 }
 
-// wake resumes a parked process, handing it val. Must be called from kernel
-// context (inside an event, never from another process); primitives ensure
-// this by scheduling wakes on the calendar.
+// wake resumes a parked process, handing it val. It must be called from
+// kernel context (inside an event, never from another process) and must be
+// the last action of its event: it only names the process to run next, and
+// the hand-off to that process's goroutine happens when the event returns.
+// Primitives ensure this by scheduling each wake as an event of its own
+// (Sleep's wakeFn, the closures in Resource.Release and Mailbox.dispatch,
+// the mailbox timer).
 func (p *Proc) wake(val any) {
 	s := p.sim
 	if s.current != nil {
@@ -137,22 +178,11 @@ func (p *Proc) wake(val any) {
 	if p.done {
 		return
 	}
-	s.current = p
-	p.resume <- resumeMsg{val: val}
-	<-s.handbackCh()
-	s.current = nil
-}
-
-// wakeKill resumes a parked process with the kill flag, unwinding it.
-func (p *Proc) wakeKill() {
-	s := p.sim
-	if p.done {
-		return
+	if s.next != nil {
+		panic("sim: two wakes in one event")
 	}
-	s.current = p
-	p.resume <- resumeMsg{kill: true}
-	<-s.handbackCh()
-	s.current = nil
+	p.val = val
+	s.next = p
 }
 
 // Sleep suspends the process for d of simulated time.
@@ -180,11 +210,16 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // scheduled and have not finished.
 func (s *Sim) LiveProcs() int { return len(s.procs) }
 
-// Shutdown kills every live process. Parked processes unwind immediately
-// (their deferred functions run); processes whose start event has not fired
-// yet are marked so they terminate on their first yield. Shutdown must be
-// called from kernel context (i.e., not from inside a process), typically
-// after Run returns.
+// Switches returns the number of goroutine hand-offs so far: one per process
+// start, per wake of a process other than the one whose goroutine runs the
+// calendar, and per return of the calendar to the Run caller; two per Kill
+// of a process parked on another goroutine. It depends only on the event
+// sequence, so it repeats exactly for a given seed.
+func (s *Sim) Switches() uint64 { return s.switches }
+
+// Shutdown kills every live process in spawn order, as Kill does. It must
+// not be called from inside a process; it is typically called after Run
+// returns, when every parked process unwinds at once.
 func (s *Sim) Shutdown() {
 	if s.current != nil {
 		panic("sim: Shutdown called from inside a process")
@@ -200,25 +235,24 @@ func (s *Sim) Shutdown() {
 		}
 		sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
 		for _, p := range victims {
-			if p.done {
-				continue
-			}
-			if !p.started() {
-				// Start event has not fired; run it as a killed start.
-				p.done = true
-				delete(s.procs, p)
-				continue
-			}
-			p.wakeKill()
+			s.Kill(p)
 		}
 	}
 }
 
-// Kill terminates a single process: parked processes unwind immediately
-// (their deferred functions run); a process whose start event has not fired
-// is marked dead so the event no-ops. Killing a finished process is a no-op.
-// Kill must be called from kernel context (inside an event callback), like
-// Shutdown — model code kills processes from fault-activation events.
+// Kill terminates a single process. Killing a finished process is a no-op,
+// and a process whose start event has not fired is marked dead so the event
+// no-ops. Kill must be called from kernel context (inside an event callback,
+// or by the Run caller between runs) — model code kills processes from
+// fault-activation events.
+//
+// The victim is Done and off LiveProcs at once. When it is parked on a
+// goroutine of its own, that goroutine unwinds now, running the victim's
+// deferred functions, and hands the calendar straight back. When the
+// callback calling Kill runs on the victim's own goroutine (the victim is
+// parked, but its goroutine is running the calendar), the goroutine unwinds
+// later: when it next passes the calendar on, and before any other goroutine
+// runs.
 func (s *Sim) Kill(p *Proc) {
 	if s.current != nil {
 		panic("sim: Kill called from inside a process")
@@ -226,15 +260,19 @@ func (s *Sim) Kill(p *Proc) {
 	if p.done {
 		return
 	}
-	if !p.started() {
+	if !p.started {
 		p.done = true
 		delete(s.procs, p)
 		return
 	}
-	p.wakeKill()
+	p.finish(true)
+	if p == s.host {
+		return
+	}
+	self := s.host
+	s.next = self // the victim hands the calendar straight back once unwound
+	s.host = p
+	s.switches++
+	p.resume <- struct{}{}
+	<-self.resume
 }
-
-// started reports whether the process goroutine exists. A process whose
-// start event has not yet fired has no goroutine; its resume channel has
-// never been handed to one. We track this with a flag set in start.
-func (p *Proc) started() bool { return p.goroutineUp }

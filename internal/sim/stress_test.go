@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
-
-	"fmt"
 )
 
 // TestStressDeterminism runs a randomized mix of processes, mailboxes and
@@ -210,5 +210,104 @@ func TestManyProcsScale(t *testing.T) {
 	}
 	if s.LiveProcs() != 0 {
 		t.Fatalf("%d leaked procs", s.LiveProcs())
+	}
+}
+
+// TestStressHandOff drives every hand-off path at random: processes spawn
+// children and contend on a resource and a mailbox, deferred functions run
+// on unwinding, and callbacks kill processes — sometimes the one whose
+// goroutine is running the callback, sometimes one parked elsewhere. Two
+// runs of a seed must give the same trace, event count and Switches().
+func TestStressHandOff(t *testing.T) {
+	var hostKills, otherKills int
+	run := func(seed uint64) (trace string, events, switches uint64) {
+		s := New()
+		res := NewResource(s, 2)
+		mb := NewMailbox(s)
+		x := seed*2654435761 + 7
+		next := func(n int) int {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return int(x % uint64(n))
+		}
+		var b strings.Builder
+		var live []*Proc
+		nextID := 0
+		var spawn func() *Proc
+		spawn = func() *Proc {
+			id := nextID
+			nextID++
+			p := s.Spawn(fmt.Sprintf("p%d", id), func(p *Proc) {
+				defer func() {
+					mb.Send(-id)
+					fmt.Fprintf(&b, "x%d@%d;", id, int64(s.Now()))
+				}()
+				for j := 0; j < 8; j++ {
+					switch next(4) {
+					case 0:
+						p.Sleep(Time(next(50)+1) * Microsecond)
+					case 1:
+						res.Acquire(p, next(3))
+						p.Sleep(Time(next(20)+1) * Microsecond)
+						res.Release()
+					case 2:
+						mb.Send(id)
+					case 3:
+						if v, ok := mb.RecvTimeout(p, Time(next(40)+1)*Microsecond); ok {
+							fmt.Fprintf(&b, "r%d<%v;", id, v)
+						}
+					}
+					if next(6) == 0 && nextID < 200 {
+						live = append(live, spawn())
+					}
+					fmt.Fprintf(&b, "%d@%d;", id, int64(p.Now()))
+				}
+			})
+			return p
+		}
+		for i := 0; i < 12; i++ {
+			live = append(live, spawn())
+		}
+		var killer func()
+		killer = func() {
+			if len(live) > 0 {
+				i := next(len(live))
+				if next(2) == 0 {
+					// Prefer the process whose goroutine runs this callback.
+					for j, p := range live {
+						if p == s.host {
+							i = j
+						}
+					}
+				}
+				if live[i] == s.host {
+					hostKills++
+				} else if !live[i].Done() && live[i].started {
+					otherKills++
+				}
+				s.Kill(live[i])
+				live = append(live[:i], live[i+1:]...)
+			}
+			s.After(Time(next(100)+1)*Microsecond, killer)
+		}
+		s.After(Time(next(100)+1)*Microsecond, killer)
+		s.Run(20 * Millisecond)
+		s.Shutdown()
+		if s.LiveProcs() != 0 {
+			t.Fatalf("seed %d: %d live procs after Shutdown", seed, s.LiveProcs())
+		}
+		return b.String(), s.EventCount(), s.Switches()
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		t1, e1, s1 := run(seed)
+		t2, e2, s2 := run(seed)
+		if t1 != t2 || e1 != e2 || s1 != s2 {
+			t.Fatalf("seed %d: nondeterministic (events %d/%d, switches %d/%d)", seed, e1, e2, s1, s2)
+		}
+	}
+	if hostKills == 0 || otherKills == 0 {
+		t.Fatalf("kills of the host %d, of parked processes elsewhere %d: a path went unexercised",
+			hostKills, otherKills)
 	}
 }
