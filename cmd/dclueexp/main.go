@@ -50,18 +50,14 @@ func main() {
 		ablations = flag.Bool("ablations", false, "run every ablation")
 		fault     = flag.String("fault", "", "fault experiment to run (see -list)")
 		faultsAll = flag.Bool("faults", false, "run every fault experiment")
-		runID     = flag.String("run", "", "experiment to run by id, searched across figures, ablations, fault and trace experiments")
-		list      = flag.Bool("list", false, "list available figures and ablations")
+		runID     = flag.String("run", "", "experiment to run by id, searched across figures, ablations, fault, trace and telemetry experiments")
+		list      = flag.Bool("list", false, "list every experiment: figures, ablations, fault, trace and telemetry experiments")
 		quick     = flag.Bool("quick", false, "reduced sweeps and shorter runs")
 		chart     = flag.Bool("chart", false, "render ASCII charts instead of tables")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		jobs      = flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		seq       = flag.Bool("seq", false, "force fully sequential sweeps (same as -j 1)")
 		bench     = flag.String("bench", "", "append a run record (figures, fingerprints, wall-clock) to this JSON file")
-		traceF    = flag.String("trace", "", "trace every run's transaction spans and write them to this file (.jsonl = JSONL; else Chrome trace_event JSON); tables are unaffected")
-		traceN    = flag.Int("trace-sample", 1, "with -trace, trace every Nth transaction per run")
-		telemF    = flag.String("telemetry", "", "record per-component utilization telemetry for every run and write it to this file (.prom/.txt = Prometheus text snapshot; else JSONL timeseries); tables are unaffected")
-		telemBkt  = flag.Float64("telemetry-bucket", 0, "with -telemetry, timeline bucket size in simulated seconds (0 = end-of-run scalars only)")
 		statusA   = flag.String("status", "", "serve a live status endpoint on this address (e.g. :8080): farm progress JSON at /status, Prometheus telemetry snapshot at /metrics")
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep process to this file")
 		memprof   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -69,6 +65,7 @@ func main() {
 		workerF   = flag.Bool("worker", false, "farm worker mode: serve jobs over stdin/stdout and exit on EOF (spawned by -farm)")
 		resDir    = flag.String("results-dir", ".dcluefarm/results", "with -farm, per-sweep checkpoint directory (reuse it to resume an interrupted sweep)")
 		cacheDir  = flag.String("cache-dir", ".dcluefarm/cache", "with -farm, cross-sweep result cache directory (empty disables caching)")
+		obs       = cliutil.AddObservers(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -123,35 +120,19 @@ func main() {
 	}
 	opts := dclue.ExperimentOptions{Seed: *seed, Quick: *quick, Log: os.Stderr, Pool: pool}
 
-	var col *dclue.TraceCollector
-	if *traceF != "" {
-		if *farmN > 0 {
-			// Breakdown histograms survive farming (workers re-attach a
-			// collector per point), but exported span events are local to
-			// each worker process and cannot be stitched back together.
-			fmt.Fprintln(os.Stderr, "dclueexp: -trace cannot be combined with -farm")
-			exit(2)
-		}
-		col = dclue.NewTraceCollector(*traceN)
-		col.KeepEvents(0)
-		opts.Trace = col
-	}
-
-	var tel *dclue.TelemetryCollector
-	if *telemF != "" {
-		if *farmN > 0 {
-			// Metrics.UtilDecomp survives farming (workers re-attach a
-			// collector per point), but the registries behind the JSONL and
-			// Prometheus exports die with each worker process.
-			fmt.Fprintln(os.Stderr, "dclueexp: -telemetry cannot be combined with -farm")
-			exit(2)
-		}
-		tel = dclue.NewTelemetryCollector(dclue.Time(*telemBkt * float64(dclue.Second)))
-		opts.Telemetry = tel
-	} else if *telemBkt != 0 {
-		fmt.Fprintln(os.Stderr, "dclueexp: -telemetry-bucket requires -telemetry")
+	if err := obs.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "dclueexp:", err)
 		exit(2)
 	}
+	if *farmN > 0 && (obs.Trace != nil || obs.Telemetry != nil) {
+		// The decompositions survive farming (workers re-attach collectors
+		// per point and only Breakdown and UtilDecomp travel back), but the
+		// span events and registries behind the exports die with each
+		// worker process and cannot be stitched back together.
+		fmt.Fprintln(os.Stderr, "dclueexp: -trace and -telemetry cannot be combined with -farm")
+		exit(2)
+	}
+	opts.Trace, opts.Telemetry = obs.Trace, obs.Telemetry
 
 	if *farmN > 0 {
 		exe, err := os.Executable()
@@ -180,7 +161,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "status: serving on http://%s (/status, /metrics)\n", ln.Addr())
 		//lint:allow goroutine the status endpoint serves HTTP beside the sweep and only reads lock-protected snapshots, never sim state
-		go http.Serve(ln, newStatusServer(coord, tel))
+		go http.Serve(ln, newStatusServer(coord, obs.Telemetry))
 	}
 
 	var figs []dclue.Figure
@@ -303,7 +284,7 @@ func main() {
 			NumCPU:     runtime.NumCPU(),
 			Quick:      *quick,
 			Seed:       *seed,
-			Telemetry:  tel != nil,
+			Telemetry:  obs.Telemetry != nil,
 			TotalSec:   round3(total.Seconds()),
 			Farm:       farmStats,
 		}
@@ -324,19 +305,9 @@ func main() {
 			exit(1)
 		}
 	}
-	if col != nil {
-		if err := col.WriteFile(*traceF); err != nil {
-			fmt.Fprintln(os.Stderr, "dclueexp: trace:", err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s\n", *traceF)
-	}
-	if tel != nil {
-		if err := tel.WriteFile(*telemF); err != nil {
-			fmt.Fprintln(os.Stderr, "dclueexp: telemetry:", err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: wrote %s\n", *telemF)
+	if err := obs.Write(os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "dclueexp:", err)
+		exit(1)
 	}
 	exit(0)
 }

@@ -51,12 +51,9 @@ func main() {
 		retryMax   = flag.Float64("retry-delay-max", 0, "cap on the exponential retry backoff under recovery, simulated seconds (0 = 16x retry delay)")
 		timeline   = flag.Float64("timeline", 0, "print a throughput timeline at this bucket size, simulated seconds")
 		jobs       = flag.Int("j", 0, "workers for the -capacity search (0 = GOMAXPROCS; single runs are unaffected)")
-		traceFile  = flag.String("trace", "", "trace transaction spans and write them to this file (.jsonl = JSONL events; anything else = Chrome trace_event JSON for chrome://tracing or Perfetto)")
-		traceEvery = flag.Int("trace-sample", 1, "with -trace, trace every Nth transaction (deterministic modular sampling)")
-		telemFile  = flag.String("telemetry", "", "record per-component utilization telemetry and write it to this file (.prom/.txt = Prometheus text snapshot; anything else = JSONL timeseries)")
-		telemBkt   = flag.Float64("telemetry-bucket", 0, "with -telemetry, timeline bucket size in simulated seconds (0 = end-of-run scalars only)")
 		cpuprof    = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator process to this file")
 		memprof    = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		obs        = cliutil.AddObservers(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -106,34 +103,15 @@ func main() {
 		exit(1)
 	}
 
-	var col *dclue.TraceCollector
-	if *traceFile != "" {
-		col = dclue.NewTraceCollector(*traceEvery)
-		col.KeepEvents(0)
-		p.Trace = col
-	}
-	var tel *dclue.TelemetryCollector
-	if *telemFile != "" {
-		tel = dclue.NewTelemetryCollector(dclue.Time(*telemBkt * float64(dclue.Second)))
-		p.Telemetry = tel
-	} else if *telemBkt != 0 {
-		fmt.Fprintln(os.Stderr, "dcluesim: -telemetry-bucket requires -telemetry")
+	if err := obs.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "dcluesim:", err)
 		exit(2)
 	}
-	writeTrace := func() {
-		if col != nil {
-			if err := col.WriteFile(*traceFile); err != nil {
-				fmt.Fprintln(os.Stderr, "dcluesim: trace:", err)
-				exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "trace: wrote %s\n", *traceFile)
-		}
-		if tel != nil {
-			if err := tel.WriteFile(*telemFile); err != nil {
-				fmt.Fprintln(os.Stderr, "dcluesim: telemetry:", err)
-				exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "telemetry: wrote %s\n", *telemFile)
+	p.Trace, p.Telemetry = obs.Trace, obs.Telemetry
+	writeObservers := func() {
+		if err := obs.Write(os.Stderr); err != nil {
+			fmt.Fprintln(os.Stderr, "dcluesim:", err)
+			exit(1)
 		}
 	}
 
@@ -151,7 +129,7 @@ func main() {
 		fmt.Printf("capacity: %d warehouses (feasible=%v)\n", r.Warehouses, r.Feasible)
 		fmt.Print(r.Metrics)
 		fmt.Fprintf(os.Stderr, "elapsed %.1fs (%d workers)\n", time.Since(start).Seconds(), workers)
-		writeTrace()
+		writeObservers()
 		if !r.Feasible {
 			exit(1)
 		}
@@ -167,6 +145,6 @@ func main() {
 	for _, pt := range m.Timeline {
 		fmt.Printf("  t=%6.1fs  %7.1f txn/s\n", pt.T.Seconds(), pt.TxnRate)
 	}
-	writeTrace()
+	writeObservers()
 	exit(0)
 }

@@ -1,7 +1,7 @@
 // Command dcluevet runs the determinism and lifetime lint suite over the
-// module: nine analyzers that enforce at the source level the invariants
+// module: eight analyzers that enforce at the source level the invariants
 // the runtime regressions (fingerprint determinism, byte-identical parallel
-// sweeps, trace non-perturbation, pool balance) check at run time. See
+// sweeps, observer non-perturbation, pool balance) check at run time. See
 // internal/lint/RULES.md for the rule catalog and the //lint:allow
 // suppression syntax.
 //
@@ -10,7 +10,6 @@
 //	dcluevet [flags] [packages]      # default ./...
 //	dcluevet -list                   # describe the analyzers
 //	dcluevet -only poolown,eventid ./internal/...
-//	dcluevet -cache .dcluevet-cache ./...
 //	dcluevet -sarif findings.sarif   # also write SARIF 2.1.0 for code scanning
 //	dcluevet -allow-audit            # report stale //lint:allow directives
 //
@@ -32,9 +31,8 @@ func main() {
 	var (
 		list       = flag.Bool("list", false, "list the analyzers and the invariant each enforces")
 		only       = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		cacheDir   = flag.String("cache", "", "facts-cache directory: per-package findings keyed by transitive content hash")
 		sarifFile  = flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file (for GitHub code scanning upload)")
-		allowAudit = flag.Bool("allow-audit", false, "also report //lint:allow directives that suppress nothing (runs the full suite, bypasses the cache)")
+		allowAudit = flag.Bool("allow-audit", false, "also report //lint:allow directives that suppress nothing (runs the full suite)")
 		verbose    = flag.Bool("v", false, "print loader warnings (stubbed imports, degraded types)")
 	)
 	flag.Parse()
@@ -73,7 +71,6 @@ func main() {
 	opts := lint.Options{
 		Patterns:   flag.Args(),
 		Analyzers:  suite,
-		CacheDir:   *cacheDir,
 		AllowAudit: *allowAudit,
 	}
 	if *verbose {

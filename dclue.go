@@ -169,13 +169,13 @@ func RunAblation(id string, o ExperimentOptions) (ExperimentResult, bool) {
 	return f.Run(o), true
 }
 
-// TraceCollector gathers transaction spans and queue gauges across runs: set
-// one on Params.Trace (or ExperimentOptions.Trace) and every run records a
+// TraceCollector gathers transaction spans across runs: set one on
+// Params.Trace (or ExperimentOptions.Trace) and every run records a
 // per-phase latency breakdown into its Metrics; with KeepEvents enabled the
-// collector additionally retains span segments and gauges exportable as
-// JSONL or a Chrome trace_event file (WriteFile). Tracing never perturbs a
-// run: metrics outside the breakdown are bit-identical with tracing on or
-// off (Metrics.FingerprintSansTrace is the regression hook).
+// collector additionally retains span segments exportable as JSONL or a
+// Chrome trace_event file (WriteFile). Tracing never perturbs a run:
+// metrics outside the breakdown are bit-identical with tracing on or off
+// (Metrics.FingerprintModel is the regression hook).
 type TraceCollector = trace.Collector
 
 // LatencyBreakdown is the span-derived per-phase decomposition inside
@@ -196,7 +196,7 @@ func NewTraceCollector(n int) *TraceCollector { return trace.NewCollector(n) }
 // timeseries or a Prometheus text snapshot (WriteFile, WriteJSONL,
 // WritePrometheus). Telemetry never perturbs a run: metrics outside the
 // decomposition are bit-identical with telemetry on or off
-// (Metrics.FingerprintSansTelemetry is the regression hook).
+// (Metrics.FingerprintModel is the regression hook).
 type TelemetryCollector = telemetry.Collector
 
 // NewTelemetryCollector returns a collector whose instrument timelines use

@@ -37,7 +37,7 @@ func (c *Cluster) initTelemetry() {
 	if c.P.Telemetry == nil {
 		return
 	}
-	reg := c.P.Telemetry.NewRegistry(c.P.telemetryLabel())
+	reg := c.P.Telemetry.NewRegistry(c.P.label())
 	c.telReg = reg
 	for i := 0; i < c.P.Nodes; i++ {
 		c.telCPU = append(c.telCPU, reg.NewCPU(fmt.Sprintf("node%d.cpu", i)))
@@ -47,8 +47,7 @@ func (c *Cluster) initTelemetry() {
 
 // instrumentFabric attaches link, queue and disk instruments once the
 // topology and nodes exist. The hardware persists across crash-restarts
-// (NICs, links, enclosures), so these attach exactly once. Queue names match
-// the trace layer's gauge sampler so the two observability surfaces line up.
+// (NICs, links, enclosures), so these attach exactly once.
 func (c *Cluster) instrumentFabric() {
 	reg := c.telReg
 	if reg == nil {
@@ -109,7 +108,7 @@ func (c *Cluster) collectTelemetry(m *Metrics) {
 	u.ElapsedSec = c.Sim.Now().Seconds()
 	for _, tl := range c.telLinks {
 		total := tl.link.BusyTime()
-		//lint:allow telemnil every telLink is built around a live instrument at hook time
+		//lint:allow obsnil every telLink is built around a live instrument at hook time
 		if tl.tel.BusyTotal() != total {
 			u.AttribMismatch++
 		}

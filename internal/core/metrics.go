@@ -90,14 +90,11 @@ type Metrics struct {
 	Timeline []TimelinePoint
 
 	// Breakdown is the span-derived latency decomposition (zero value unless
-	// Params.Trace was set). It is the only trace-dependent part of Metrics;
-	// FingerprintSansTrace hashes everything but it.
-	Breakdown LatencyBreakdown
-
-	// UtilDecomp is the telemetry-derived utilization decomposition (zero
-	// value unless Params.Telemetry was set). It is the only
-	// telemetry-dependent part of Metrics; FingerprintSansTelemetry hashes
-	// everything but it.
+	// Params.Trace was set) and UtilDecomp the telemetry-derived utilization
+	// decomposition (zero value unless Params.Telemetry was set). They are
+	// the only observer-dependent parts of Metrics; FingerprintModel hashes
+	// everything but them.
+	Breakdown  LatencyBreakdown
 	UtilDecomp UtilDecomp
 }
 
@@ -176,11 +173,6 @@ type LatencyBreakdown struct {
 
 	TotalP95Ms float64
 	TotalP99Ms float64
-
-	// Peak transmit-queue occupancy sampled across NIC egress queues and
-	// router ports (zero unless the collector retains events).
-	PeakQueueBytes int
-	PeakQueuePkts  int
 }
 
 // Sum returns the six phase means added up (equals TotalMs up to float
@@ -204,26 +196,16 @@ func (m Metrics) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// FingerprintSansTrace hashes the metrics with the trace-derived breakdown
-// zeroed out. The invariant every traced run is held to is
+// FingerprintModel hashes the metrics with the observer-derived parts — the
+// trace breakdown and the telemetry decomposition — zeroed out. The
+// invariant every observed run is held to is
 //
-//	traced.FingerprintSansTrace() == untraced.Fingerprint()
+//	observed.FingerprintModel() == bare.Fingerprint()
 //
-// — tracing observes the trajectory without perturbing it. The response-time
+// — observers see the trajectory without perturbing it. The response-time
 // percentiles stay in the hash: they are always-on and must match too.
-func (m Metrics) FingerprintSansTrace() uint64 {
+func (m Metrics) FingerprintModel() uint64 {
 	m.Breakdown = LatencyBreakdown{}
-	return m.Fingerprint()
-}
-
-// FingerprintSansTelemetry hashes the metrics with the telemetry-derived
-// utilization decomposition zeroed out. The invariant every telemetered run
-// is held to is
-//
-//	telemetered.FingerprintSansTelemetry() == plain.Fingerprint()
-//
-// — telemetry observes the trajectory without perturbing it.
-func (m Metrics) FingerprintSansTelemetry() uint64 {
 	m.UtilDecomp = UtilDecomp{}
 	return m.Fingerprint()
 }
@@ -361,7 +343,6 @@ func (c *Cluster) collect() Metrics {
 		b.OtherMs = c.tr.PhaseMeanMs(trace.PhaseOther)
 		b.TotalP95Ms = c.tr.TotalQuantileMs(0.95)
 		b.TotalP99Ms = c.tr.TotalQuantileMs(0.99)
-		b.PeakQueueBytes, b.PeakQueuePkts = c.tr.PeakGauge()
 	}
 	if c.telReg != nil {
 		c.collectTelemetry(&m)

@@ -157,40 +157,30 @@ type Params struct {
 	// (internal/trace): the run registers itself with the collector, sampled
 	// transactions record per-phase latency histograms that surface as
 	// Metrics.Breakdown, and — when the collector retains events — span
-	// segments and queue-occupancy gauges are kept for JSONL/Chrome export.
-	// Tracing never perturbs the simulated trajectory: a traced run's
-	// metrics (breakdown aside) are bit-identical to an untraced run's.
+	// segments are kept for JSONL/Chrome export.
 	//
-	// The collector is process-local state, not configuration: it is
-	// excluded from the JSON form of Params, which the experiment farm uses
-	// as the canonical wire and cache-key encoding of a point. Farm workers
-	// re-attach an equivalent histogram-only collector from the job's
-	// trace-sample stride instead.
+	// Trace and Telemetry are observers: they never perturb the simulated
+	// trajectory or add calendar events, so an observed run's metrics
+	// outside Breakdown and UtilDecomp are bit-identical to a bare run's
+	// (Metrics.FingerprintModel is the regression hook). The collectors are
+	// process-local state, not configuration: they are excluded from the
+	// JSON form of Params, which the experiment farm uses as the canonical
+	// wire and cache-key encoding of a point. Farm workers re-attach
+	// equivalent collectors from the job's trace-sample stride and
+	// telemetry fields instead.
 	Trace *trace.Collector `json:"-"`
-
-	// TraceLabel names this run in trace exports; empty derives a label
-	// from the cluster size and offload mode.
-	TraceLabel string
 
 	// Telemetry, when non-nil, enables the unified metrics registry
 	// (internal/telemetry): the run registers per-component utilization
 	// instruments — links and router ports with traffic-class attribution,
 	// queue occupancy, CPU thread/IRQ busy, per-spindle disk utilization,
 	// GCS message rates and lock waits, recovery phase timelines — and
-	// reports Metrics.UtilDecomp. Like tracing, telemetry never perturbs the
-	// simulated trajectory: an instrumented run's metrics (UtilDecomp aside)
-	// are bit-identical to an uninstrumented run's
-	// (Metrics.FingerprintSansTelemetry is the regression hook).
-	//
-	// The collector is process-local state, not configuration: it is
-	// excluded from the JSON form of Params, which the experiment farm uses
-	// as the canonical wire and cache-key encoding of a point. Farm workers
-	// re-attach an equivalent collector from the job's telemetry fields.
+	// reports Metrics.UtilDecomp.
 	Telemetry *telemetry.Collector `json:"-"`
 
-	// TelemetryLabel names this run in telemetry exports; empty derives a
-	// label from the cluster size and offload mode.
-	TelemetryLabel string
+	// Label names this run in trace and telemetry exports; empty derives
+	// a label from the cluster size and offload mode.
+	Label string
 }
 
 // DefaultParams returns the paper's baseline configuration at scale 100
@@ -230,12 +220,16 @@ func DefaultParams(nodes int) Params {
 	}
 }
 
-// telemetryLabel names this run in telemetry exports.
-func (p *Params) telemetryLabel() string {
-	if p.TelemetryLabel != "" {
-		return p.TelemetryLabel
+// label names this run in trace and telemetry exports.
+func (p *Params) label() string {
+	if p.Label != "" {
+		return p.Label
 	}
-	return p.traceLabel()
+	off := "hw"
+	if p.SWTCP || p.SWiSCSI {
+		off = "sw"
+	}
+	return fmt.Sprintf("n%d-%s", p.Nodes, off)
 }
 
 // heartbeat resolves the membership heartbeat cadence.

@@ -5,32 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"dclue/internal/sim"
 	"dclue/internal/telemetry"
 )
-
-// TestTelemetryNonPerturbing is the telemetry layer's central guarantee: a
-// fully instrumented run (every link, queue, CPU, disk and GCS hooked, with
-// per-second timelines) follows the exact same trajectory as a bare run.
-// Everything outside the utilization decomposition must hash identically.
-func TestTelemetryNonPerturbing(t *testing.T) {
-	p := quickParams(2)
-	base := mustRun(t, p)
-
-	p.Telemetry = telemetry.NewCollector(sim.Second)
-	telem := mustRun(t, p)
-
-	if got, want := telem.FingerprintSansTelemetry(), base.Fingerprint(); got != want {
-		t.Fatalf("telemetered run diverged: fingerprint %x, bare %x\ntelemetered: %vbare: %v",
-			got, want, telem, base)
-	}
-	if !telem.UtilDecomp.Enabled {
-		t.Fatal("telemetered run reported no decomposition")
-	}
-	if base.UtilDecomp.Enabled {
-		t.Fatal("bare run reported a decomposition")
-	}
-}
 
 // TestTelemetryAttributionExact checks the attribution identity the
 // decomposition advertises: summed per class, a link's telemetry busy time

@@ -48,8 +48,8 @@ type Options struct {
 	// Telemetry, when non-nil, is the metrics registry collector every
 	// figure's runs attach to (the CLI passes one configured for JSONL
 	// export). When nil, util-decomp allocates a private collector, so its
-	// tables come out the same either way. Telemetry never changes a table —
-	// the non-perturbation guarantee the telemetry tests hold the layer to.
+	// tables come out the same either way. Neither observer changes a table
+	// (TestObserversNonPerturbing checks both across the golden suite).
 	Telemetry *telemetry.Collector
 
 	// Exec, when non-nil, evaluates every simulation point of every figure

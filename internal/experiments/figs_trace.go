@@ -71,7 +71,7 @@ func LatencyDecomposition(o Options) Result {
 		}
 		names[i] = fmt.Sprintf("n%d-%s", cse.nodes, off)
 		q.Trace = col
-		q.TraceLabel = names[i]
+		q.Label = names[i]
 		o.logf("lat-decomp: %s", names[i])
 		ms[i] = o.fixedLoad(q, 6*cse.nodes)
 	})

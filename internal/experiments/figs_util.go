@@ -58,7 +58,7 @@ func UtilDecomposition(o Options) Result {
 		q := o.baseParams(n)
 		q.Affinity = 0.8
 		q.Telemetry = col
-		q.TelemetryLabel = fmt.Sprintf("util-n%d", n)
+		q.Label = fmt.Sprintf("util-n%d", n)
 		o.logf("util-decomp: n%d", n)
 		ms[i] = o.fixedLoad(q, 6*n)
 	})

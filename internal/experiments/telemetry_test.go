@@ -5,46 +5,8 @@ import (
 	"testing"
 
 	"dclue/internal/runner"
-	"dclue/internal/sim"
 	"dclue/internal/telemetry"
 )
-
-// TestTelemetryNonPerturbing attaches a timeline-recording telemetry
-// collector to every golden figure and checks each rendered table is
-// byte-identical to the bare sweep, sequentially and on a 4-worker pool —
-// the whole-stack version of the core fingerprint test, across the exact
-// suite the golden fixtures lock.
-func TestTelemetryNonPerturbing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run experiment")
-	}
-	for _, id := range goldenFigures {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			f, ok := findFigure(id)
-			if !ok {
-				t.Fatalf("figure %q not registered", id)
-			}
-			base := Options{Quick: true, Seed: 1, tinyRuns: true}
-			plain := f.Run(base)
-			for _, workers := range []int{1, 4} {
-				o := base
-				o.Pool = runner.New(workers)
-				o.Telemetry = telemetry.NewCollector(sim.Second)
-				got := f.Run(o)
-				if got.Table() != plain.Table() {
-					t.Errorf("telemetry changed the table at -j%d.\n-- bare --\n%s-- telemetered --\n%s",
-						workers, plain.Table(), got.Table())
-				}
-				if got.Fingerprint() != plain.Fingerprint() {
-					t.Errorf("fingerprint mismatch at -j%d: bare %x, telemetered %x",
-						workers, plain.Fingerprint(), got.Fingerprint())
-				}
-			}
-		})
-	}
-}
 
 // TestUtilDecompFigure regenerates the decomposition table and checks the
 // accounting it advertises: zero attribution mismatches in the notes, six

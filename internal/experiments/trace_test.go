@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dclue/internal/runner"
-	"dclue/internal/trace"
 )
 
 // TestLatDecompPhaseSum regenerates the decomposition table and checks the
@@ -32,43 +31,5 @@ func TestLatDecompPhaseSum(t *testing.T) {
 	}
 	if len(r.Series) != 6 {
 		t.Fatalf("got %d series, want 6 (resp + five phases)", len(r.Series))
-	}
-}
-
-// TestTraceDoesNotPerturbFigures attaches an event-retaining stride-1
-// collector to an ordinary figure sweep (parallel, to also cover concurrent
-// run registration) and checks the rendered table is byte-identical to the
-// untraced sweep — the whole-stack version of the core fingerprint test.
-func TestTraceDoesNotPerturbFigures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run experiment")
-	}
-	base := Options{Quick: true, Seed: 1, tinyRuns: true, Pool: runner.New(4)}
-	plain := Fig2(base)
-
-	col := trace.NewCollector(1)
-	col.KeepEvents(0)
-	traced := base
-	traced.Trace = col
-	withTrace := Fig2(traced)
-
-	if plain.Table() != withTrace.Table() {
-		t.Errorf("tracing changed a figure table.\n-- untraced --\n%s-- traced --\n%s",
-			plain.Table(), withTrace.Table())
-	}
-	if plain.Fingerprint() != withTrace.Fingerprint() {
-		t.Errorf("fingerprint mismatch: untraced %x, traced %x",
-			plain.Fingerprint(), withTrace.Fingerprint())
-	}
-	runs := col.Runs()
-	if len(runs) == 0 {
-		t.Fatal("collector saw no runs")
-	}
-	var sampled uint64
-	for _, r := range runs {
-		sampled += r.Sampled()
-	}
-	if sampled == 0 {
-		t.Fatal("no spans recorded across the sweep")
 	}
 }

@@ -1,8 +1,7 @@
 // Package analyzers holds dcluevet's determinism and lifetime lint suite:
-// nine analyzers that enforce, at the source level, the invariants the
-// runtime tests (fingerprint determinism, golden figures, trace and
-// telemetry non-perturbation, pool balance) can only observe after the
-// fact. Each analyzer documents the invariant it guards;
+// eight analyzers that enforce, at the source level, the invariants the
+// runtime tests (fingerprint determinism, golden figures, observer
+// non-perturbation, pool balance) can only observe after the fact. Each analyzer documents the invariant it guards;
 // internal/lint/RULES.md is the human catalog.
 package analyzers
 
@@ -20,8 +19,7 @@ func All() []*analysis.Analyzer {
 		Maporder,
 		Goroutine,
 		Floatsum,
-		Tracenil,
-		Telemnil,
+		Obsnil,
 		Poolown,
 		Eventid,
 	}

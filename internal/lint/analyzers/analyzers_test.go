@@ -38,12 +38,14 @@ func TestFloatsum(t *testing.T) {
 	linttest.Run(t, analyzers.Floatsum, linttest.Dir("floatsum"))
 }
 
+// TestTracenil and TestTelemnil run the obsnil analyzer over its two
+// fixture directories, one per observer package.
 func TestTracenil(t *testing.T) {
-	linttest.Run(t, analyzers.Tracenil, linttest.Dir("tracenil"))
+	linttest.Run(t, analyzers.Obsnil, linttest.Dir("tracenil"))
 }
 
 func TestTelemnil(t *testing.T) {
-	linttest.Run(t, analyzers.Telemnil, linttest.Dir("telemnil"))
+	linttest.Run(t, analyzers.Obsnil, linttest.Dir("telemnil"))
 }
 
 func TestPoolown(t *testing.T) {

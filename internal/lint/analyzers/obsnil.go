@@ -9,11 +9,14 @@ import (
 	"dclue/internal/lint/analysis"
 )
 
-// Tracenil enforces the zero-cost untraced fast path: Params.Trace and the
-// handles derived from it (trace.Collector, trace.Run, trace.Span) are nil
-// on every untraced run, so model code may only call their methods behind a
-// nil check. A missing guard is a nil-pointer crash on the common path that
-// no traced test would ever see. The analyzer tracks guards flow-lite:
+// Obsnil enforces the zero-cost fast path of both observers: Params.Trace
+// and Params.Telemetry, and every handle derived from them, are nil on a run
+// without that observer, so model code may only call their methods behind a
+// nil check. The telemetry hooks sit on the hottest paths in the simulator —
+// per-packet link transmits, per-dispatch CPU accounting, per-IO disk
+// completions — where a missing guard is a nil-pointer crash on the common
+// path that no observed test would ever see. The analyzer tracks guards
+// flow-lite:
 //
 //   - `if h != nil { ... }` (including `h != nil && ...` conjuncts) guards
 //     the branch; `if h == nil { return }` guards the rest of the block;
@@ -21,53 +24,52 @@ import (
 //     or an already-guarded expression is known non-nil;
 //   - `range` value variables are assumed non-nil (collections of handles
 //     hold live handles).
-//
-// The trace package itself — the implementation those guards protect — is
-// exempt, matched by package name so the fixture's miniature trace package
-// behaves like the real one.
-var Tracenil = &analysis.Analyzer{
-	Name: "tracenil",
-	Doc:  "require a nil check around every call on a trace handle (Collector/Run/Span); untraced runs carry nil handles on the fast path",
-	Run:  runTracenil,
+var Obsnil = &analysis.Analyzer{
+	Name: "obsnil",
+	Doc:  "require a nil check around every call on an observer handle (trace Collector/Run/Span, telemetry Collector/Registry/*Tel); unobserved runs carry nil handles on the fast path",
+	Run:  runObsnil,
 }
 
-// nilRule parametrizes the nil-guard analyzers (tracenil, telemnil): which
-// package declares the nilable handle types and how the diagnostic words
-// the disabled fast path. The declaring package itself is exempt — its
-// methods are the implementation the guards protect — matched by package
-// name so each fixture's miniature package behaves like the real one.
+// nilRule describes one observer package: its nilable handle types and how
+// the diagnostic words the handle-disabled fast path.
 type nilRule struct {
-	pkg     string          // package name declaring the handle types
-	handles map[string]bool // nilable handle type names within that package
+	handles map[string]bool // nilable handle type names within the package
 	offPath string          // adjective for the handle-disabled fast path
 }
 
-// traceRule: the nilable span-observability handle types, by name within
-// any package named "trace".
-var traceRule = &nilRule{
-	pkg: "trace",
-	handles: map[string]bool{
-		"Collector": true,
-		"Run":       true,
-		"Span":      true,
+// obsRules is the rule table, keyed by the name of the package declaring
+// the handle types. Each of those packages is itself exempt — its methods
+// are the implementation the guards protect — matched by name so each
+// fixture's miniature package behaves like the real one.
+var obsRules = map[string]nilRule{
+	"trace": {
+		handles: map[string]bool{"Collector": true, "Run": true, "Span": true},
+		offPath: "untraced",
 	},
-	offPath: "untraced",
+	"telemetry": {
+		handles: map[string]bool{
+			"Collector": true,
+			"Registry":  true,
+			"LinkTel":   true,
+			"QueueTel":  true,
+			"CPUTel":    true,
+			"DiskTel":   true,
+			"GCSTel":    true,
+		},
+		offPath: "untelemetered",
+	},
 }
 
-func runTracenil(pass *analysis.Pass) error { return runNilRule(pass, traceRule) }
-
-func runNilRule(pass *analysis.Pass, rule *nilRule) error {
-	if pass.Pkg.Name() == rule.pkg {
+func runObsnil(pass *analysis.Pass) error {
+	if _, exempt := obsRules[pass.Pkg.Name()]; exempt {
 		return nil
 	}
+	v := &nilVisitor{pass: pass}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				v.stmts(fd.Body.List, newGuards())
 			}
-			v := &nilVisitor{pass: pass, rule: rule}
-			v.stmts(fd.Body.List, newGuards())
 		}
 	}
 	return nil
@@ -89,7 +91,6 @@ func (g guards) clone() guards {
 
 type nilVisitor struct {
 	pass *analysis.Pass
-	rule *nilRule
 }
 
 // stmts visits a statement list, applying the early-exit guard pattern:
@@ -269,7 +270,7 @@ func (v *nilVisitor) cond(e ast.Expr, g guards) {
 	v.expr(e, g)
 }
 
-// expr recursively checks an expression tree for unguarded trace-handle
+// expr recursively checks an expression tree for unguarded observer-handle
 // calls.
 func (v *nilVisitor) expr(e ast.Expr, g guards) {
 	switch e := e.(type) {
@@ -315,7 +316,7 @@ func (v *nilVisitor) expr(e ast.Expr, g guards) {
 	}
 }
 
-// checkCall reports a method call on a possibly-nil trace handle.
+// checkCall reports a method call on a possibly-nil observer handle.
 func (v *nilVisitor) checkCall(call *ast.CallExpr, g guards) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -327,7 +328,7 @@ func (v *nilVisitor) checkCall(call *ast.CallExpr, g guards) {
 			return // package-qualified function call, not a method
 		}
 	}
-	name, ok := v.rule.handleType(v.pass.TypeOf(recv))
+	pkg, name, ok := handleType(v.pass.TypeOf(recv))
 	if !ok {
 		return
 	}
@@ -336,27 +337,26 @@ func (v *nilVisitor) checkCall(call *ast.CallExpr, g guards) {
 	}
 	v.pass.Reportf(call.Pos(),
 		"call to (%s).%s on a possibly-nil %s handle (*%s.%s): the %s fast path needs `if %s != nil` first",
-		types.ExprString(recv), sel.Sel.Name, v.rule.pkg, v.rule.pkg, name, v.rule.offPath, types.ExprString(recv))
+		types.ExprString(recv), sel.Sel.Name, pkg, pkg, name, obsRules[pkg].offPath, types.ExprString(recv))
 }
 
-// handleType reports whether t (or its pointee) is one of the rule's
-// nilable handle types, declared in the rule's package (matched by name).
-func (r *nilRule) handleType(t types.Type) (string, bool) {
-	if p, ok := t.(*types.Pointer); ok {
+// handleType reports whether t (or its pointee) is a nilable handle type of
+// an observer package (matched by package name), returning that package's
+// name and the type's.
+func handleType(t types.Type) (pkg, name string, ok bool) {
+	if p, isPtr := t.(*types.Pointer); isPtr {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", false
+	named, isNamed := t.(*types.Named)
+	if !isNamed {
+		return "", "", false
 	}
 	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != r.pkg {
-		return "", false
+	if obj == nil || obj.Pkg() == nil {
+		return "", "", false
 	}
-	if !r.handles[obj.Name()] {
-		return "", false
-	}
-	return obj.Name(), true
+	pkg, name = obj.Pkg().Name(), obj.Name()
+	return pkg, name, obsRules[pkg].handles[name]
 }
 
 // nilCompare matches `e <op> nil` / `nil <op> e`, returning e.

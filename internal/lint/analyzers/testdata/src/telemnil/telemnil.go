@@ -1,4 +1,4 @@
-// Fixture for the telemnil analyzer: telemetry-handle calls must be
+// Fixture for the obsnil analyzer: telemetry-handle calls must be
 // guarded — untelemetered runs carry nil handles on the hot path.
 package telemnil
 
@@ -79,6 +79,6 @@ func closureInherits(l *link) func() {
 }
 
 func suppressed(l *link) {
-	//lint:allow telemnil the caller attaches the instrument before any event fires
+	//lint:allow obsnil the caller attaches the instrument before any event fires
 	l.tel.OnTransmit(0, 1)
 }

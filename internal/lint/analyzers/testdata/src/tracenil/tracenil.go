@@ -1,4 +1,4 @@
-// Fixture for the tracenil analyzer: trace-handle calls must be guarded.
+// Fixture for the obsnil analyzer: trace-handle calls must be guarded.
 package tracenil
 
 import "trace"
@@ -76,6 +76,6 @@ func closureInherits(c *cluster, now int64) func() {
 }
 
 func suppressed(c *cluster, now int64) {
-	//lint:allow tracenil caller holds the collector open for the whole run
+	//lint:allow obsnil caller holds the collector open for the whole run
 	c.tr.StartSpan(now)
 }

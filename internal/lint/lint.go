@@ -7,15 +7,9 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 
 	"dclue/internal/lint/analysis"
@@ -43,18 +37,9 @@ type Options struct {
 	Patterns []string
 	// Analyzers is the suite to run; default analyzers.All().
 	Analyzers []*analysis.Analyzer
-	// CacheDir, when non-empty, memoizes per-package findings keyed by the
-	// transitive content hash of the package's sources, its module-internal
-	// dependencies' hashes, the analyzer suite, and the Go toolchain — the
-	// facts cache CI restores between runs. A hit skips the analyzers' Run
-	// passes (type-checking and Summarize still happen, because dependents
-	// need this package's exports and cross-package facts).
-	CacheDir string
 	// AllowAudit additionally reports //lint:allow directives that
 	// suppressed nothing this run (stale suppressions), as findings under
-	// the "allow" pseudo-analyzer. The audit needs every analyzer's
-	// diagnostics to flow through the suppression filter, so it bypasses
-	// the facts cache.
+	// the "allow" pseudo-analyzer.
 	AllowAudit bool
 	// Log, when non-nil, receives loader warnings (stubbed imports etc.).
 	Log io.Writer
@@ -85,15 +70,13 @@ func Run(opts Options) ([]Finding, error) {
 		}
 	}
 
-	cache := newFactsCache(opts.CacheDir, suite)
-	hashes := make(map[string]string) // pkg path -> transitive content hash
 	facts := analysis.NewFacts()
 
 	var findings []Finding
 	for _, pkg := range res.Packages {
-		// Summarize runs on every package, cache hit or not: cross-package
-		// facts (ownership summaries) are rebuilt from source each run, only
-		// the diagnostics replay from the cache.
+		// Summaries come first: packages load dependencies first, so every
+		// cross-package fact (ownership summaries) a package's analyzers
+		// consult is already recorded when they run.
 		for _, a := range suite {
 			if a.Summarize == nil {
 				continue
@@ -103,20 +86,9 @@ func Run(opts Options) ([]Finding, error) {
 				return nil, fmt.Errorf("analyzer %s summarizing %s: %v", a.Name, pkg.Path, err)
 			}
 		}
-		hash := cache.pkgHash(pkg, hashes)
-		hashes[pkg.Path] = hash
-		if !opts.AllowAudit {
-			if cached, ok := cache.get(hash); ok {
-				findings = append(findings, cached...)
-				continue
-			}
-		}
 		pf, err := runPackage(res.Fset, pkg, suite, known, facts, opts.AllowAudit)
 		if err != nil {
 			return nil, err
-		}
-		if !opts.AllowAudit {
-			cache.put(hash, pf)
 		}
 		findings = append(findings, pf...)
 	}
@@ -175,94 +147,4 @@ func runPackage(fset *token.FileSet, pkg *load.Package, suite []*analysis.Analyz
 		}
 	}
 	return findings, nil
-}
-
-// factsCache memoizes per-package findings on disk. The key is a
-// transitive hash: package sources, the hashes of its module-internal
-// imports, and the analyzer suite version, so editing any dependency
-// invalidates dependents automatically (the same shape as go build action
-// IDs).
-type factsCache struct {
-	dir   string
-	suite string
-}
-
-// suiteVersion participates in every cache key; bump when analyzer
-// behavior changes in a way that should invalidate cached findings.
-const suiteVersion = "dcluevet-v2"
-
-// cacheSalt is the run-invariant prefix of every cache key. It must cover
-// everything that can change a package's findings without changing its
-// sources: the suite version, the Go toolchain (go/types behavior and the
-// stdlib the loader type-checks against move with it), and the selected
-// analyzer list (an -only run must not serve, or poison, the full suite's
-// cache entries). Factored out and parameterized on the toolchain string so
-// the regression test can prove each ingredient changes the key.
-func cacheSalt(suite []*analysis.Analyzer, toolchain string) string {
-	salt := suiteVersion + ":" + toolchain
-	for _, a := range suite {
-		salt += ":" + a.Name
-	}
-	return salt
-}
-
-func newFactsCache(dir string, suite []*analysis.Analyzer) *factsCache {
-	if dir == "" {
-		return &factsCache{}
-	}
-	return &factsCache{dir: dir, suite: cacheSalt(suite, runtime.Version())}
-}
-
-func (c *factsCache) pkgHash(pkg *load.Package, depHashes map[string]string) string {
-	if c.dir == "" {
-		return ""
-	}
-	h := sha256.New()
-	fmt.Fprintln(h, c.suite)
-	fmt.Fprintln(h, pkg.Path)
-	for _, f := range pkg.SourceFiles() {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			fmt.Fprintln(h, f, "unreadable")
-			continue
-		}
-		fmt.Fprintln(h, filepath.Base(f), len(data))
-		h.Write(data)
-	}
-	for _, dep := range pkg.ModuleImports() {
-		fmt.Fprintln(h, "dep", dep, depHashes[dep])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func (c *factsCache) get(hash string) ([]Finding, bool) {
-	if c.dir == "" || hash == "" {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(c.dir, hash+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var findings []Finding
-	if err := json.Unmarshal(data, &findings); err != nil {
-		return nil, false
-	}
-	return findings, true
-}
-
-func (c *factsCache) put(hash string, findings []Finding) {
-	if c.dir == "" || hash == "" {
-		return
-	}
-	if findings == nil {
-		findings = []Finding{} // cache the clean result, not JSON null
-	}
-	data, err := json.Marshal(findings)
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return
-	}
-	_ = os.WriteFile(filepath.Join(c.dir, hash+".json"), data, 0o644)
 }

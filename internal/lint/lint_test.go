@@ -5,33 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"dclue/internal/lint/analysis"
 )
-
-// TestCacheSaltIngredients is the regression test for the cache-key bug
-// where two different toolchains (or an -only run and a full-suite run)
-// shared cache entries. Every ingredient must change the salt; the same
-// ingredients must reproduce it exactly.
-func TestCacheSaltIngredients(t *testing.T) {
-	a := &analysis.Analyzer{Name: "alpha"}
-	b := &analysis.Analyzer{Name: "beta"}
-	full := []*analysis.Analyzer{a, b}
-
-	base := cacheSalt(full, "go1.22.0")
-	if again := cacheSalt(full, "go1.22.0"); again != base {
-		t.Fatalf("salt not deterministic: %q vs %q", base, again)
-	}
-	if got := cacheSalt(full, "go1.23.1"); got == base {
-		t.Fatalf("toolchain change did not change the salt: %q", got)
-	}
-	if got := cacheSalt([]*analysis.Analyzer{a}, "go1.22.0"); got == base {
-		t.Fatalf("analyzer subset (-only) did not change the salt: %q", got)
-	}
-	if !strings.HasPrefix(base, suiteVersion+":") {
-		t.Fatalf("salt %q does not lead with the suite version", base)
-	}
-}
 
 // writeTestModule materializes a throwaway module the loader can `go list`,
 // so audit behavior is tested against real loading rather than mocks.

@@ -44,17 +44,7 @@ type Package struct {
 	// Self-hosting on a tree that builds cleanly produces none; they are
 	// surfaced in verbose mode only.
 	LoadErrors []error
-
-	imports []string // module-internal imports (for hashing/topo order)
-	files   []string // absolute source file names, GoFiles then TestGoFiles
 }
-
-// SourceFiles returns the absolute paths of the files in Files, in order.
-func (p *Package) SourceFiles() []string { return p.files }
-
-// ModuleImports returns the package's imports that are packages of the same
-// module, sorted.
-func (p *Package) ModuleImports() []string { return p.imports }
 
 // listedPackage is the subset of `go list -json` output we consume.
 type listedPackage struct {
@@ -65,8 +55,6 @@ type listedPackage struct {
 	TestGoFiles  []string
 	XTestGoFiles []string
 	Imports      []string
-	TestImports  []string
-	XTestImports []string
 }
 
 // Result is a loaded module slice.
@@ -135,8 +123,6 @@ func Modules(dir string, patterns ...string) (*Result, error) {
 			Types:      pkgTypes,
 			Info:       info,
 			LoadErrors: append(perrs, terrs...),
-			imports:    moduleOnly(append(lp.Imports, lp.TestImports...), inModule),
-			files:      absAll(lp.Dir, append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...)),
 		}
 		res.Packages = append(res.Packages, p)
 
@@ -152,8 +138,6 @@ func Modules(dir string, patterns ...string) (*Result, error) {
 				Types:      xPkg,
 				Info:       xInfo,
 				LoadErrors: append(xperrs, xterrs...),
-				imports:    moduleOnly(lp.XTestImports, inModule),
-				files:      absAll(lp.Dir, lp.XTestGoFiles),
 			})
 		}
 	}
@@ -221,27 +205,6 @@ func topoSort(pkgs []*listedPackage, inModule map[string]*listedPackage) ([]*lis
 		}
 	}
 	return order, nil
-}
-
-func moduleOnly(imports []string, inModule map[string]*listedPackage) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, im := range imports {
-		if _, ok := inModule[im]; ok && !seen[im] {
-			seen[im] = true
-			out = append(out, im)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func absAll(dir string, names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = filepath.Join(dir, n)
-	}
-	return out
 }
 
 func parseAll(fset *token.FileSet, dir string, names []string) ([]*ast.File, []error) {

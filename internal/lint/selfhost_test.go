@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -41,11 +40,10 @@ func TestSelfHost(t *testing.T) {
 	}
 }
 
-// TestSelfHostOwnershipOnly pins the acceptance gate the CI lint job uses:
-// the interprocedural ownership analyzers alone, run over the repository,
-// report nothing. Unlike TestSelfHost this exercises the -only path, where
-// summaries must still be collected from every package even though only two
-// analyzers run.
+// TestSelfHostOwnershipOnly runs the interprocedural ownership analyzers
+// alone over the repository and expects nothing. Unlike TestSelfHost this
+// exercises the -only path (a subset suite), where summaries must still be
+// collected from every package even though only two analyzers run.
 func TestSelfHostOwnershipOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-host lint loads and type-checks the whole module")
@@ -63,37 +61,5 @@ func TestSelfHostOwnershipOnly(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Fatalf("ownership analyzers are not clean on their own repository: %d finding(s)", len(findings))
-	}
-}
-
-// TestFactsCache runs the suite twice through a cache directory and checks
-// the second pass replays the first's (empty) findings from cache entries.
-func TestFactsCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("self-host lint loads and type-checks the whole module")
-	}
-	dir := t.TempDir()
-	root := moduleRoot(t)
-	first, err := Run(Options{Dir: root, Patterns: []string{"./internal/rng", "./internal/stats"}, CacheDir: dir})
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading cache dir: %v", err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("first run populated no cache entries")
-	}
-	second, err := Run(Options{Dir: root, Patterns: []string{"./internal/rng", "./internal/stats"}, CacheDir: dir})
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	if len(first) != len(second) {
-		t.Fatalf("cache changed findings: %d -> %d", len(first), len(second))
-	}
-	after, _ := os.ReadDir(dir)
-	if len(after) != len(entries) {
-		t.Fatalf("second run grew the cache: %d -> %d entries (expected pure hits)", len(entries), len(after))
 	}
 }

@@ -62,8 +62,6 @@ type Sim struct {
 	nEvents  uint64
 	switches uint64
 
-	tracer Tracer
-
 	// onDeadlock, when set, is invoked by run when the calendar empties
 	// while live processes remain parked (see OnDeadlock).
 	onDeadlock func(*DeadlockError)
@@ -382,9 +380,6 @@ func (s *Sim) drive(self *Proc) {
 		e := &s.pool[slot]
 		s.now = e.t
 		s.nEvents++
-		if s.tracer != nil {
-			s.tracer.Event(e.t, e.seq)
-		}
 		fn := e.fn
 		// Recycle the slot before invoking the callback: the hot pattern of
 		// an event rescheduling its successor reuses the just-freed slot, so

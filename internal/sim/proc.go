@@ -79,12 +79,8 @@ func (p *Proc) start() {
 	if p.done {
 		return // killed before its start event fired
 	}
-	s := p.sim
 	p.started = true
-	if s.tracer != nil {
-		s.tracer.ProcStart(s.now, p.name)
-	}
-	s.next = p
+	p.sim.next = p
 }
 
 // body runs on the process's own goroutine. When fn returns or the process
@@ -101,7 +97,7 @@ func (p *Proc) body(fn func(*Proc)) {
 			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.name, s.now, r))
 		}
 		if !p.done {
-			p.finish(false)
+			p.finish()
 		}
 		s.current = nil
 		s.drive(p)
@@ -112,13 +108,9 @@ func (p *Proc) body(fn func(*Proc)) {
 }
 
 // finish marks the process done and drops it from the live set.
-func (p *Proc) finish(killed bool) {
-	s := p.sim
+func (p *Proc) finish() {
 	p.done = true
-	delete(s.procs, p)
-	if s.tracer != nil {
-		s.tracer.ProcEnd(s.now, p.name, killed)
-	}
+	delete(p.sim.procs, p)
 }
 
 // handOff passes the calendar on and blocks until self's goroutine is
@@ -260,13 +252,8 @@ func (s *Sim) Kill(p *Proc) {
 	if p.done {
 		return
 	}
-	if !p.started {
-		p.done = true
-		delete(s.procs, p)
-		return
-	}
-	p.finish(true)
-	if p == s.host {
+	p.finish()
+	if !p.started || p == s.host {
 		return
 	}
 	self := s.host

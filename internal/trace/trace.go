@@ -4,21 +4,20 @@
 // across the fabric, attributing every nanosecond of the response time to a
 // phase. Aggregates land in per-phase histograms (p50/p95/p99, not just
 // means) that core.Metrics folds into its LatencyBreakdown; raw span
-// segments and sampled queue-depth gauges can additionally be exported as a
-// JSONL event stream or a Chrome trace_event file (see export.go).
+// segments can additionally be exported as a JSONL event stream or a Chrome
+// trace_event file (see export.go). Queue occupancy is the telemetry
+// layer's view (telemetry.QueueTel), not this one's.
 //
 // Design constraints, in order:
 //
 //   - Zero cost when disabled. Model code calls the package-level
 //     Enter/Exit helpers, which reduce to a single nil-interface check when
-//     the current process carries no span (the same idiom as sim.Tracer).
+//     the current process carries no span.
 //   - Non-perturbing when enabled. Span bookkeeping reads the clock and
 //     writes collector memory; it never schedules events, blocks, or draws
 //     random numbers, so the simulated trajectory — and therefore every
 //     metric outside the breakdown itself — is bit-identical with tracing
-//     on or off. Gauge sampling does add calendar events, but they are
-//     read-only and cannot reorder model events (the kernel orders ties by
-//     scheduling sequence, which is preserved).
+//     on or off, event count included.
 //   - Deterministic. Sampling is a modular counter on the run's request
 //     stream, not a random draw; two runs of the same seed trace the same
 //     transactions.
@@ -116,7 +115,7 @@ type Collector struct {
 
 // NewCollector returns a collector sampling every n-th transaction per run
 // (n <= 1 traces every transaction). Only histograms are kept; call
-// KeepEvents to also retain exportable span segments and gauges.
+// KeepEvents to also retain exportable span segments.
 func NewCollector(n int) *Collector {
 	if n < 1 {
 		n = 1
@@ -127,8 +126,8 @@ func NewCollector(n int) *Collector {
 // SampleEvery returns the sampling stride.
 func (c *Collector) SampleEvery() int { return int(c.sampleEvery) }
 
-// KeepEvents enables per-span segment and gauge retention for export, with
-// at most max records per run (max <= 0 keeps the default cap). Call before
+// KeepEvents enables per-span segment retention for export, with at most
+// max records per run (max <= 0 keeps the default cap). Call before
 // the runs start.
 func (c *Collector) KeepEvents(max int) {
 	c.keepEvents = true
@@ -169,8 +168,8 @@ func (c *Collector) Runs() []*Run {
 	return append([]*Run(nil), c.runs...)
 }
 
-// Run is the per-simulation trace sink: per-phase histograms, retained span
-// segments and queue gauges. All methods are called from the single kernel
+// Run is the per-simulation trace sink: per-phase histograms and retained
+// span segments. All methods are called from the single kernel
 // goroutine of one simulation, so no locking is needed.
 type Run struct {
 	c           *Collector
@@ -188,7 +187,6 @@ type Run struct {
 	total *stats.Histogram            // span total (client-observed), ms
 
 	events  []Event
-	gauges  []GaugeSample
 	dropped uint64 // records lost to the maxEvents cap
 }
 
@@ -202,14 +200,6 @@ type Event struct {
 	Dur    sim.Time
 }
 
-// GaugeSample is one sampled queue-occupancy reading.
-type GaugeSample struct {
-	T     sim.Time
-	Name  string
-	Bytes int
-	Pkts  int
-}
-
 // PID returns the run's export process id.
 func (r *Run) PID() int { return r.pid }
 
@@ -218,10 +208,6 @@ func (r *Run) Label() string { return r.label }
 
 // Sampled returns how many spans finished and were recorded.
 func (r *Run) Sampled() uint64 { return r.sampled }
-
-// KeepsEvents reports whether this run retains span segments and gauges for
-// export (set by Collector.KeepEvents before the run was created).
-func (r *Run) KeepsEvents() bool { return r.keepEvents }
 
 // Dropped returns how many export records were lost to the retention cap.
 func (r *Run) Dropped() uint64 { return r.dropped }
@@ -238,18 +224,6 @@ func (r *Run) StartSpan(now sim.Time, tid int) *Span {
 	return &Span{run: r, id: r.nextID, tid: tid, start: now}
 }
 
-// Gauge records one queue-occupancy sample.
-func (r *Run) Gauge(now sim.Time, name string, bytes, pkts int) {
-	if !r.keepEvents {
-		return
-	}
-	if len(r.gauges) >= r.maxEvents {
-		r.dropped++
-		return
-	}
-	r.gauges = append(r.gauges, GaugeSample{T: now, Name: name, Bytes: bytes, Pkts: pkts})
-}
-
 // PhaseMeanMs returns the mean self time of a phase across sampled spans.
 func (r *Run) PhaseMeanMs(ph Phase) float64 { return r.phase[ph].Mean() }
 
@@ -261,20 +235,6 @@ func (r *Run) TotalMeanMs() float64 { return r.total.Mean() }
 
 // TotalQuantileMs returns an approximate quantile of span totals (ms).
 func (r *Run) TotalQuantileMs(q float64) float64 { return r.total.Quantile(q) }
-
-// PeakGauge returns the largest sampled queue occupancy (bytes, packets)
-// across all gauges of the run.
-func (r *Run) PeakGauge() (bytes, pkts int) {
-	for _, g := range r.gauges {
-		if g.Bytes > bytes {
-			bytes = g.Bytes
-		}
-		if g.Pkts > pkts {
-			pkts = g.Pkts
-		}
-	}
-	return bytes, pkts
-}
 
 // addEvent retains one export record under the cap.
 func (r *Run) addEvent(e Event) {

@@ -135,7 +135,6 @@ func TestExportFormats(t *testing.T) {
 	s.Exit(2 * ms)
 	s.EndServer(2 * ms)
 	s.Finish(3 * ms)
-	r.Gauge(10*ms, "inner0/port1", 4096, 3)
 
 	var chrome strings.Builder
 	if err := c.WriteChrome(&chrome); err != nil {
@@ -145,7 +144,7 @@ func TestExportFormats(t *testing.T) {
 	if err := json.Unmarshal([]byte(chrome.String()), &events); err != nil {
 		t.Fatalf("chrome output is not valid JSON: %v\n%s", err, chrome.String())
 	}
-	var haveTxn, haveCPU, haveGauge bool
+	var haveTxn, haveCPU bool
 	for _, e := range events {
 		switch e["name"] {
 		case "txn":
@@ -155,16 +154,10 @@ func TestExportFormats(t *testing.T) {
 			}
 		case "cpu":
 			haveCPU = true
-		case "inner0/port1":
-			haveGauge = true
-			if e["ph"] != "C" {
-				t.Errorf("gauge not a counter event: %v", e)
-			}
 		}
 	}
-	if !haveTxn || !haveCPU || !haveGauge {
-		t.Fatalf("missing chrome records (txn=%v cpu=%v gauge=%v):\n%s",
-			haveTxn, haveCPU, haveGauge, chrome.String())
+	if !haveTxn || !haveCPU {
+		t.Fatalf("missing chrome records (txn=%v cpu=%v):\n%s", haveTxn, haveCPU, chrome.String())
 	}
 
 	var jsonl strings.Builder
@@ -172,8 +165,8 @@ func TestExportFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
-	if len(lines) != 3 { // cpu seg, txn, gauge
-		t.Fatalf("want 3 JSONL lines, got %d:\n%s", len(lines), jsonl.String())
+	if len(lines) != 2 { // cpu seg, txn
+		t.Fatalf("want 2 JSONL lines, got %d:\n%s", len(lines), jsonl.String())
 	}
 	for _, ln := range lines {
 		var rec map[string]any
