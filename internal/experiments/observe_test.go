@@ -9,14 +9,17 @@ import (
 	"dclue/internal/trace"
 )
 
-// TestObserversNonPerturbing attaches both observers — a stride-1 trace
-// collector retaining span segments and a telemetry collector recording
+// observerSet selects the observers a non-perturbation sweep attaches.
+type observerSet struct{ trace, telemetry bool }
+
+// checkFiguresNonPerturbing attaches the observers in obs — a stride-1 trace
+// collector retaining span segments, a telemetry collector recording
 // per-second timelines — to every golden figure, and checks each rendered
 // table is byte-identical to the bare sweep, sequentially and on a 4-worker
 // pool (which also covers concurrent run registration). It is the
-// whole-stack version of the core fingerprint test, across the exact suite
+// whole-stack version of the core fingerprint tests, across the exact suite
 // the golden fixtures lock.
-func TestObserversNonPerturbing(t *testing.T) {
+func checkFiguresNonPerturbing(t *testing.T, obs observerSet) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
@@ -31,12 +34,17 @@ func TestObserversNonPerturbing(t *testing.T) {
 			base := Options{Quick: true, Seed: 1, tinyRuns: true}
 			plain := f.Run(base)
 			for _, workers := range []int{1, 4} {
-				col := trace.NewCollector(1)
-				col.KeepEvents(0)
 				o := base
 				o.Pool = runner.New(workers)
-				o.Trace = col
-				o.Telemetry = telemetry.NewCollector(sim.Second)
+				var col *trace.Collector
+				if obs.trace {
+					col = trace.NewCollector(1)
+					col.KeepEvents(0)
+					o.Trace = col
+				}
+				if obs.telemetry {
+					o.Telemetry = telemetry.NewCollector(sim.Second)
+				}
 				got := f.Run(o)
 				if got.Table() != plain.Table() {
 					t.Errorf("observers changed the table at -j%d.\n-- bare --\n%s-- observed --\n%s",
@@ -45,6 +53,9 @@ func TestObserversNonPerturbing(t *testing.T) {
 				if got.Fingerprint() != plain.Fingerprint() {
 					t.Errorf("fingerprint mismatch at -j%d: bare %x, observed %x",
 						workers, plain.Fingerprint(), got.Fingerprint())
+				}
+				if col == nil {
+					continue
 				}
 				var sampled uint64
 				for _, r := range col.Runs() {
@@ -56,4 +67,20 @@ func TestObserversNonPerturbing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTraceDoesNotPerturbFigures sweeps the golden suite traced.
+func TestTraceDoesNotPerturbFigures(t *testing.T) {
+	checkFiguresNonPerturbing(t, observerSet{trace: true})
+}
+
+// TestTelemetryNonPerturbing sweeps the golden suite telemetered.
+func TestTelemetryNonPerturbing(t *testing.T) {
+	checkFiguresNonPerturbing(t, observerSet{telemetry: true})
+}
+
+// TestObserversNonPerturbing sweeps the golden suite with both observers
+// attached to every run.
+func TestObserversNonPerturbing(t *testing.T) {
+	checkFiguresNonPerturbing(t, observerSet{trace: true, telemetry: true})
 }
