@@ -35,7 +35,7 @@ kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule$$|BenchmarkScheduleDepth$$|BenchmarkCancel$$|BenchmarkProcSwitch$$|BenchmarkProcHandOff$$' -benchmem -count 3 ./internal/sim | tee kernel_bench.txt
 	$(GO) build -o dclueexp ./cmd/dclueexp
 	rm -f BENCH_kernel.json
-	./dclueexp -fig 2 -quick -j 1 -bench BENCH_kernel.json > /dev/null
+	./dclueexp -run 2 -quick -j 1 -bench BENCH_kernel.json > /dev/null
 	$(GO) run ./cmd/dcluebench -bench-out kernel_bench.txt -sweeps BENCH_kernel.json -baseline bench/kernel_baseline.json
 
 clean:

@@ -1,22 +1,29 @@
 // Command dclueexp regenerates the paper's figures (Figs 2-16 of Kant &
-// Sahoo, ICPP 2005) and prints each as a text table.
+// Sahoo, ICPP 2005) and the ablation, fault, trace and telemetry experiments
+// beyond them, and prints each as a text table.
+//
+// -run selects what to run: an experiment id (-list prints every one), the
+// id without its family prefix (6 or 06 for fig06, qos for abl-qos, loss for
+// flt-loss, decomp for lat-decomp), or a whole family (fig, abl, flt, lat,
+// util).
 //
 // Sweeps run on a parallel work-stealing pool (-j workers, default
-// GOMAXPROCS); the output is byte-identical to a sequential run (-seq),
+// GOMAXPROCS); the output is byte-identical to a sequential run (-j 1),
 // only faster. -bench appends a machine-readable record of the run —
 // per-figure points, fingerprints and wall-clock — to BENCH_sweeps.json.
 //
 // Examples:
 //
-//	dclueexp -fig 6                  # throughput scaling vs nodes and affinity
-//	dclueexp -all -quick -j 4        # every figure, reduced sweeps, 4 workers
-//	dclueexp -all -quick -seq        # same output, one worker
-//	dclueexp -all -quick -bench BENCH_sweeps.json
+//	dclueexp -run 6                  # throughput scaling vs nodes and affinity
+//	dclueexp -run fig -quick -j 4    # every figure, reduced sweeps, 4 workers
+//	dclueexp -run fig -quick -j 1    # same output, one worker
+//	dclueexp -run fig -quick -bench BENCH_sweeps.json
+//	dclueexp -run abl -quick         # every design ablation
 //	dclueexp -run lat-decomp -quick  # latency decomposition by phase
-//	dclueexp -fig 2 -quick -trace fig2.json   # same table + Chrome trace
+//	dclueexp -run 2 -quick -trace fig2.json   # same table + Chrome trace
 //	dclueexp -run util-decomp -quick -telemetry util.jsonl -telemetry-bucket 5
-//	dclueexp -all -quick -farm 4     # shard points across 4 worker processes
-//	dclueexp -all -quick -farm 4 -status :8080   # live progress at /status
+//	dclueexp -run fig -quick -farm 4     # shard points across 4 worker processes
+//	dclueexp -run fig -quick -farm 4 -status :8080   # live progress at /status
 //	dclueexp -list
 //
 // -farm N runs the sweep as a coordinator that shards simulation points
@@ -39,33 +46,27 @@ import (
 
 	"dclue"
 	"dclue/internal/cliutil"
+	"dclue/internal/experiments"
 	"dclue/internal/farm"
 )
 
 func main() {
 	var (
-		fig       = flag.String("fig", "", "figure to reproduce (2..16)")
-		all       = flag.Bool("all", false, "reproduce every figure")
-		ablation  = flag.String("ablation", "", "ablation to run (see -list)")
-		ablations = flag.Bool("ablations", false, "run every ablation")
-		fault     = flag.String("fault", "", "fault experiment to run (see -list)")
-		faultsAll = flag.Bool("faults", false, "run every fault experiment")
-		runID     = flag.String("run", "", "experiment to run by id, searched across figures, ablations, fault, trace and telemetry experiments")
-		list      = flag.Bool("list", false, "list every experiment: figures, ablations, fault, trace and telemetry experiments")
-		quick     = flag.Bool("quick", false, "reduced sweeps and shorter runs")
-		chart     = flag.Bool("chart", false, "render ASCII charts instead of tables")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		jobs      = flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-		seq       = flag.Bool("seq", false, "force fully sequential sweeps (same as -j 1)")
-		bench     = flag.String("bench", "", "append a run record (figures, fingerprints, wall-clock) to this JSON file")
-		statusA   = flag.String("status", "", "serve a live status endpoint on this address (e.g. :8080): farm progress JSON at /status, Prometheus telemetry snapshot at /metrics")
-		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep process to this file")
-		memprof   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		farmN     = flag.Int("farm", 0, "shard point execution across N exec'd worker processes (0 = in-process)")
-		workerF   = flag.Bool("worker", false, "farm worker mode: serve jobs over stdin/stdout and exit on EOF (spawned by -farm)")
-		resDir    = flag.String("results-dir", ".dcluefarm/results", "with -farm, per-sweep checkpoint directory (reuse it to resume an interrupted sweep)")
-		cacheDir  = flag.String("cache-dir", ".dcluefarm/cache", "with -farm, cross-sweep result cache directory (empty disables caching)")
-		obs       = cliutil.AddObservers(flag.CommandLine)
+		runID    = flag.String("run", "", "experiments to run: an id from -list, the id without its family prefix (6 for fig06, qos for abl-qos), or a family (fig, abl, flt, lat, util)")
+		list     = flag.Bool("list", false, "list every experiment: figures, ablations, fault, trace and telemetry experiments")
+		quick    = flag.Bool("quick", false, "reduced sweeps and shorter runs")
+		chart    = flag.Bool("chart", false, "render ASCII charts instead of tables")
+		seed     = flag.Uint64("seed", 1, "random seed")
+		jobs     = flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
+		bench    = flag.String("bench", "", "append a run record (figures, fingerprints, wall-clock) to this JSON file")
+		statusA  = flag.String("status", "", "serve a live status endpoint on this address (e.g. :8080): farm progress JSON at /status, Prometheus telemetry snapshot at /metrics")
+		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep process to this file")
+		memprof  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		farmN    = flag.Int("farm", 0, "shard point execution across N exec'd worker processes (0 = in-process)")
+		workerF  = flag.Bool("worker", false, "farm worker mode: serve jobs over stdin/stdout and exit on EOF (spawned by -farm)")
+		resDir   = flag.String("results-dir", ".dcluefarm/results", "with -farm, per-sweep checkpoint directory (reuse it to resume an interrupted sweep)")
+		cacheDir = flag.String("cache-dir", ".dcluefarm/cache", "with -farm, cross-sweep result cache directory (empty disables caching)")
+		obs      = cliutil.AddObservers(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -110,9 +111,6 @@ func main() {
 			// in-flight points to keep every worker busy, no more.
 			workers = *farmN
 		}
-	}
-	if *seq {
-		workers = 1
 	}
 	var pool *dclue.SweepPool
 	if workers > 1 {
@@ -164,61 +162,19 @@ func main() {
 		go http.Serve(ln, newStatusServer(coord, obs.Telemetry))
 	}
 
-	var figs []dclue.Figure
-	unknown := func(what, id string) {
-		fmt.Fprintf(os.Stderr, "unknown %s %q; try -list\n", what, id)
-		exit(2)
-	}
-	everything := func() []dclue.Figure {
-		fs := dclue.Figures()
-		fs = append(fs, dclue.AblationList()...)
-		fs = append(fs, dclue.FaultList()...)
-		fs = append(fs, dclue.TraceList()...)
-		fs = append(fs, dclue.TelemetryList()...)
-		return fs
-	}
-	switch {
-	case *list:
-		for _, f := range everything() {
+	if *list {
+		for _, f := range dclue.Figures() {
 			fmt.Printf("%-16s %s\n", f.ID, f.Title)
 		}
 		exit(0)
-	case *runID != "":
-		figs = pick(everything(), func(f dclue.Figure) bool {
-			return f.ID == *runID || f.ID == "flt-"+*runID || f.ID == "abl-"+*runID || f.ID == "lat-"+*runID || f.ID == "util-"+*runID
-		})
-		if figs == nil {
-			unknown("experiment", *runID)
-		}
-	case *faultsAll:
-		figs = dclue.FaultList()
-	case *fault != "":
-		figs = pick(dclue.FaultList(), func(f dclue.Figure) bool {
-			return f.ID == *fault || f.ID == "flt-"+*fault
-		})
-		if figs == nil {
-			unknown("fault experiment", *fault)
-		}
-	case *ablations:
-		figs = dclue.AblationList()
-	case *ablation != "":
-		figs = pick(dclue.AblationList(), func(f dclue.Figure) bool {
-			return f.ID == *ablation || f.ID == "abl-"+*ablation
-		})
-		if figs == nil {
-			unknown("ablation", *ablation)
-		}
-	case *all:
-		figs = dclue.Figures()
-	case *fig != "":
-		figs = pick(dclue.Figures(), func(f dclue.Figure) bool {
-			return f.ID == *fig || f.ID == "fig0"+*fig || f.ID == "fig"+*fig
-		})
-		if figs == nil {
-			unknown("figure", *fig)
-		}
-	default:
+	}
+	if *runID == "" {
 		flag.Usage()
+		exit(2)
+	}
+	figs := experiments.Select(*runID)
+	if figs == nil {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *runID)
 		exit(2)
 	}
 
@@ -310,14 +266,4 @@ func main() {
 		exit(1)
 	}
 	exit(0)
-}
-
-// pick returns the figures matching ok, or nil if none match.
-func pick(figs []dclue.Figure, ok func(dclue.Figure) bool) []dclue.Figure {
-	for _, f := range figs {
-		if ok(f) {
-			return []dclue.Figure{f}
-		}
-	}
-	return nil
 }

@@ -22,7 +22,8 @@
 //	}
 //	fmt.Println(m)
 //
-// Experiments reproducing the paper's figures live behind Figures and
+// Experiments reproducing the paper's figures, and the ablation, fault,
+// trace and telemetry experiments beyond them, live behind Figures and
 // RunFigure; see EXPERIMENTS.md for the measured results.
 package dclue
 
@@ -92,23 +93,11 @@ type SweepPool = runner.Pool
 // GOMAXPROCS, workers == 1 forces sequential execution.
 func NewSweepPool(workers int) *SweepPool { return runner.New(workers) }
 
-// SweepPoint is one independent simulation job in a sweep.
-type SweepPoint = runner.Point
-
-// SweepResult pairs a SweepPoint with its run outcome.
-type SweepResult = runner.PointResult
-
-// RunSweep evaluates every point on the pool and returns results in point
-// order: a parallel sweep merges identically to a sequential one.
-func RunSweep(pool *SweepPool, pts []SweepPoint) []SweepResult {
-	return pool.RunPoints(pts)
-}
-
 // MeasureCapacityWith is MeasureCapacity with speculative parallel probing
 // on the pool's free workers; the result is byte-identical to the
 // sequential search.
 func MeasureCapacityWith(pool *SweepPool, p Params, maxWarehousesPerNode int) CapacityResult {
-	return runner.Capacity(pool, p, maxWarehousesPerNode)
+	return runner.Capacity(pool, nil, p, maxWarehousesPerNode)
 }
 
 // ExperimentOptions control the figure-reproduction sweeps.
@@ -117,10 +106,11 @@ type ExperimentOptions = experiments.Options
 // ExperimentResult is one regenerated figure.
 type ExperimentResult = experiments.Result
 
-// Figure is one runnable paper-figure experiment.
+// Figure is one runnable experiment.
 type Figure = experiments.Figure
 
-// Figures lists every paper figure experiment in order (Fig 2 .. Fig 16).
+// Figures lists every experiment: the paper figures in order (Fig 2 ..
+// Fig 16), then the ablations, fault, trace and telemetry experiments.
 func Figures() []Figure { return experiments.All() }
 
 // RunFigures runs the given figures — fanning across figures and sweep
@@ -129,40 +119,11 @@ func RunFigures(figs []Figure, o ExperimentOptions) []ExperimentResult {
 	return experiments.RunAll(figs, o)
 }
 
-// RunFigure runs the experiment for the given figure id ("fig06" or "6").
-// ok is false for an unknown id.
+// RunFigure runs the experiment with the given id or short form ("fig06" or
+// "6", "abl-qos" or "qos", "flt-loss" or "loss"). ok is false for an unknown
+// id.
 func RunFigure(id string, o ExperimentOptions) (ExperimentResult, bool) {
 	f, ok := experiments.Lookup(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}
-
-// AblationList returns the design-choice ablation experiments: QoS remedy
-// (WFQ), shared-SAN storage, subpage granularity, group commit, elevator
-// scheduling, and warm start.
-func AblationList() []Figure { return experiments.Ablations() }
-
-// FaultList returns the graceful-degradation experiments driven by the
-// fault-injection subsystem (an extension beyond the paper's fault-free
-// scope): loss-intensity sweep, fault-window recovery timeline, and a
-// per-layer (network/node/storage) comparison.
-func FaultList() []Figure { return experiments.FaultFigures() }
-
-// RunFault runs the fault experiment with the given id ("flt-loss" or
-// "loss").
-func RunFault(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.LookupFault(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}
-
-// RunAblation runs the ablation with the given id ("abl-qos" or "qos").
-func RunAblation(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.LookupAblation(id)
 	if !ok {
 		return ExperimentResult{}, false
 	}
@@ -211,31 +172,3 @@ type UtilDecomp = core.UtilDecomp
 
 // ClassUtil splits link busy seconds by traffic class.
 type ClassUtil = core.ClassUtil
-
-// TelemetryList returns the telemetry experiments (the utilization-
-// decomposition table).
-func TelemetryList() []Figure { return experiments.TelemetryFigures() }
-
-// RunTelemetry runs the telemetry experiment with the given id
-// ("util-decomp" or "decomp").
-func RunTelemetry(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.LookupTelemetry(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}
-
-// TraceList returns the span-tracing experiments (the latency-decomposition
-// table).
-func TraceList() []Figure { return experiments.TraceFigures() }
-
-// RunTrace runs the trace experiment with the given id ("lat-decomp" or
-// "decomp").
-func RunTrace(id string, o ExperimentOptions) (ExperimentResult, bool) {
-	f, ok := experiments.LookupTrace(id)
-	if !ok {
-		return ExperimentResult{}, false
-	}
-	return f.Run(o), true
-}

@@ -1,6 +1,7 @@
 package dclue_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dclue"
@@ -29,18 +30,21 @@ func TestFacadeSmoke(t *testing.T) {
 
 func TestFacadeFigureRegistry(t *testing.T) {
 	figs := dclue.Figures()
-	if len(figs) != 15 {
-		t.Fatalf("figures %d, want 15", len(figs))
+	if len(figs) != 29 {
+		t.Fatalf("experiments %d, want 29", len(figs))
+	}
+	seen := map[string]bool{}
+	for i, f := range figs {
+		if seen[f.ID] {
+			t.Fatalf("duplicate experiment id %s", f.ID)
+		}
+		seen[f.ID] = true
+		if want := fmt.Sprintf("fig%02d", i+2); i < 15 && f.ID != want {
+			t.Fatalf("experiment %d is %s, want %s (Figs 2-16 first)", i, f.ID, want)
+		}
 	}
 	if _, ok := dclue.RunFigure("no-such", dclue.ExperimentOptions{}); ok {
-		t.Fatal("unknown figure accepted")
-	}
-	abls := dclue.AblationList()
-	if len(abls) < 5 {
-		t.Fatalf("ablations %d", len(abls))
-	}
-	if _, ok := dclue.RunAblation("nope", dclue.ExperimentOptions{}); ok {
-		t.Fatal("unknown ablation accepted")
+		t.Fatal("unknown experiment accepted")
 	}
 }
 

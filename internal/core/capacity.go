@@ -31,21 +31,17 @@ func MeasureCapacity(p Params, maxPerNode int) CapacityResult {
 	return SearchCapacity(p, maxPerNode, Run, nil)
 }
 
-// CapacityProbe evaluates one capacity-search candidate. It must behave as
-// a pure, deterministic function of its Params: the search result is a
-// function of probe outcomes only.
-type CapacityProbe func(Params) (Metrics, error)
-
 // SearchCapacity is MeasureCapacity with pluggable probe execution. It runs
 // the same bisection over warehouses per node in [1, maxPerNode]; probe is
-// called for every candidate the search visits, in bisection order. Before
-// each probe, speculate (when non-nil) receives the candidate configurations
-// the search may visit next — one for each branch of the pending feasibility
-// decision — so a parallel driver can start warming them while the current
-// probe runs; speculate must not block. Because the visited path depends
-// only on probe outcomes, any driver whose probe agrees with sequential Run
-// produces a byte-identical CapacityResult.
-func SearchCapacity(p Params, maxPerNode int, probe CapacityProbe, speculate func(...Params)) CapacityResult {
+// called for every candidate the search visits, in bisection order, and must
+// behave as a pure, deterministic function of its Params. Before each probe,
+// speculate (when non-nil) receives the candidate configurations the search
+// may visit next — one for each branch of the pending feasibility decision —
+// so a parallel search can start warming them while the current probe runs;
+// speculate must not block. Because the visited path depends only on probe
+// outcomes, any probe that agrees with sequential Run yields a
+// byte-identical CapacityResult.
+func SearchCapacity(p Params, maxPerNode int, probe func(Params) (Metrics, error), speculate func(...Params)) CapacityResult {
 	if maxPerNode <= 0 {
 		maxPerNode = 48
 	}

@@ -349,16 +349,6 @@ func Run(p Params) (Metrics, error) {
 	return c.Run()
 }
 
-// MustRun is Run for known-good parameter sets (the figure drivers, whose
-// configurations are fixed): any error is a bug, so it panics.
-func MustRun(p Params) Metrics {
-	m, err := Run(p)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // fail records the first fatal mid-run condition and stops the simulation.
 func (c *Cluster) fail(err error) {
 	if c.runErr == nil {

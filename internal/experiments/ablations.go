@@ -12,26 +12,6 @@ import (
 // remedy its conclusion asks for (WFQ), the shared-IO SAN architecture of
 // §2.1 it set aside, the subpage-size tuning of §2.3, and the storage-path
 // mechanisms (group commit, elevator) whose value the model quantifies.
-func Ablations() []Figure {
-	return []Figure{
-		{"abl-qos", "QoS remedy: strict priority vs WFQ under cross traffic", AblationQoS},
-		{"abl-san", "Storage architecture: distributed iSCSI vs shared SAN", AblationSAN},
-		{"abl-subpage", "Lock granularity: tuned row-level vs coarse subpages", AblationSubpage},
-		{"abl-groupcommit", "Log device: group commit vs serial writes", AblationGroupCommit},
-		{"abl-elevator", "Disk scheduling: SCAN elevator vs FIFO", AblationElevator},
-		{"abl-prewarm", "Warm vs cold buffer caches at start", AblationPrewarm},
-	}
-}
-
-// LookupAblation finds an ablation by id.
-func LookupAblation(id string) (Figure, bool) {
-	for _, f := range Ablations() {
-		if f.ID == id || "abl-"+id == f.ID {
-			return f, true
-		}
-	}
-	return Figure{}, false
-}
 
 // AblationQoS compares the paper's harmful arrangement (FTP at AF21 strict
 // priority) against WFQ at the router ports, at rising cross-traffic load.

@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"dclue/internal/core"
@@ -110,7 +111,9 @@ type Figure struct {
 	Run   func(Options) Result
 }
 
-// All returns every figure in paper order.
+// All returns every experiment: the paper figures in paper order, then the
+// ablations, fault, trace and telemetry experiments. An id's leading letters
+// name its family (fig, abl, flt, lat, util).
 func All() []Figure {
 	return []Figure{
 		{"fig02", "IPC messages per transaction vs nodes (affinity 0.8)", Fig2},
@@ -128,17 +131,59 @@ func All() []Figure {
 		{"fig14", "Cross-traffic impact, normal computation", Fig14},
 		{"fig15", "Cross-traffic impact, low computation", Fig15},
 		{"fig16", "Cross-traffic impact vs affinity (low computation)", Fig16},
+		{"abl-qos", "QoS remedy: strict priority vs WFQ under cross traffic", AblationQoS},
+		{"abl-san", "Storage architecture: distributed iSCSI vs shared SAN", AblationSAN},
+		{"abl-subpage", "Lock granularity: tuned row-level vs coarse subpages", AblationSubpage},
+		{"abl-groupcommit", "Log device: group commit vs serial writes", AblationGroupCommit},
+		{"abl-elevator", "Disk scheduling: SCAN elevator vs FIFO", AblationElevator},
+		{"abl-prewarm", "Warm vs cold buffer caches at start", AblationPrewarm},
+		{"flt-loss", "Degradation vs burst-loss intensity on the inter-LATA path", FaultLossSweep},
+		{"flt-recovery", "Throughput timeline through a link-down + burst-loss fault", FaultRecovery},
+		{"flt-layers", "Degradation by faulted layer: network vs node vs storage", FaultLayers},
+		{"flt-failover", "Throughput through a node crash, recovery and re-admission", FaultFailover},
+		{"flt-failover-size", "Recovery and unavailability window vs cluster size", FaultFailoverSize},
+		{"flt-failover-ckpt", "Recovery window vs checkpoint interval", FaultFailoverCkpt},
+		{"lat-decomp", "Transaction latency decomposition by phase (nodes x offload)", LatencyDecomposition},
+		{"util-decomp", "Per-class server-link utilization decomposition vs nodes", UtilDecomposition},
 	}
 }
 
-// Lookup finds a figure by id ("fig06", "6", "06").
+// Lookup finds the experiment named by its id or a short form: the id
+// without its family prefix, or without the leading zeros of a figure
+// number ("fig06", "06" and "6" name fig06; "qos" names abl-qos). The first
+// match in All order wins, so "decomp" names lat-decomp.
 func Lookup(id string) (Figure, bool) {
 	for _, f := range All() {
-		if f.ID == id || f.ID == "fig0"+id || f.ID == "fig"+id {
+		short := strings.TrimPrefix(strings.TrimPrefix(f.ID, family(f.ID)), "-")
+		if id == f.ID || id == short || id == strings.TrimLeft(short, "0") {
 			return f, true
 		}
 	}
 	return Figure{}, false
+}
+
+// Select returns the experiments a selector names, in All order: the one
+// Lookup finds, or else every member of the family it names ("fig", "abl",
+// "flt", "lat", "util"). It returns nil when sel names nothing.
+func Select(sel string) []Figure {
+	if f, ok := Lookup(sel); ok {
+		return []Figure{f}
+	}
+	var figs []Figure
+	for _, f := range All() {
+		if family(f.ID) == sel {
+			figs = append(figs, f)
+		}
+	}
+	return figs
+}
+
+// family returns an id's leading letters.
+func family(id string) string {
+	if i := strings.IndexFunc(id, func(r rune) bool { return r < 'a' || r > 'z' }); i >= 0 {
+		return id[:i]
+	}
+	return id
 }
 
 // RunAll runs the given figures — fanning across figures and, within each,
@@ -261,7 +306,7 @@ func (o Options) capacity(p core.Params) core.CapacityResult {
 		p.Warmup = 100 * sim.Second
 		p.Measure = 150 * sim.Second
 	}
-	return runner.CapacityExec(o.Pool, o.Exec, p, max)
+	return runner.Capacity(o.Pool, o.Exec, p, max)
 }
 
 // run evaluates one simulation point through the installed executor

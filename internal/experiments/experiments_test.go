@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,33 +9,83 @@ import (
 	"dclue/internal/stats"
 )
 
+// TestAllFiguresRegistered pins the one registry: 29 unique, complete
+// experiments, the 15 paper figures first and in paper order.
 func TestAllFiguresRegistered(t *testing.T) {
 	figs := All()
-	if len(figs) != 15 {
-		t.Fatalf("registered %d figures, want 15 (Figs 2-16)", len(figs))
+	if len(figs) != 29 {
+		t.Fatalf("registered %d experiments, want 29", len(figs))
 	}
 	seen := map[string]bool{}
-	for _, f := range figs {
+	for i, f := range figs {
 		if seen[f.ID] {
-			t.Fatalf("duplicate figure id %s", f.ID)
+			t.Fatalf("duplicate experiment id %s", f.ID)
 		}
 		seen[f.ID] = true
 		if f.Run == nil || f.Title == "" {
-			t.Fatalf("figure %s incomplete", f.ID)
+			t.Fatalf("experiment %s incomplete", f.ID)
+		}
+		if want := fmt.Sprintf("fig%02d", i+2); i < 15 && f.ID != want {
+			t.Fatalf("experiment %d is %s, want %s (Figs 2-16 first)", i, f.ID, want)
 		}
 	}
 }
 
+// TestLookupForms covers the selection rule: every id and short form names
+// one experiment, a family names its members in All order, and anything
+// else names nothing.
 func TestLookupForms(t *testing.T) {
-	for _, id := range []string{"fig06", "06", "6"} {
-		f, ok := Lookup(id)
-		if !ok || f.ID != "fig06" {
-			t.Fatalf("Lookup(%q) = %v/%v", id, f.ID, ok)
+	for _, tc := range []struct{ sel, want string }{
+		{"fig06", "fig06"}, {"06", "fig06"}, {"6", "fig06"}, {"16", "fig16"},
+		{"abl-qos", "abl-qos"}, {"qos", "abl-qos"},
+		{"flt-loss", "flt-loss"}, {"loss", "flt-loss"},
+		{"failover-size", "flt-failover-size"},
+		{"lat-decomp", "lat-decomp"}, {"decomp", "lat-decomp"},
+		{"util-decomp", "util-decomp"},
+	} {
+		f, ok := Lookup(tc.sel)
+		if !ok || f.ID != tc.want {
+			t.Fatalf("Lookup(%q) = %v/%v, want %s", tc.sel, f.ID, ok, tc.want)
+		}
+		if got := Select(tc.sel); len(got) != 1 || got[0].ID != tc.want {
+			t.Fatalf("Select(%q) = %v, want [%s]", tc.sel, ids(got), tc.want)
 		}
 	}
-	if _, ok := Lookup("fig99"); ok {
-		t.Fatal("Lookup accepted unknown figure")
+
+	var families []string
+	for _, fam := range []string{"fig", "abl", "flt", "lat", "util"} {
+		if f, ok := Lookup(fam); ok {
+			t.Fatalf("Lookup(%q) = %s, want no single experiment", fam, f.ID)
+		}
+		members := ids(Select(fam))
+		for _, id := range members {
+			if !strings.HasPrefix(id, fam) {
+				t.Fatalf("Select(%q) includes %s", fam, id)
+			}
+		}
+		families = append(families, members...)
 	}
+	if got, want := strings.Join(families, " "), strings.Join(ids(All()), " "); got != want {
+		t.Fatalf("families in order = %s, want All order %s", got, want)
+	}
+
+	for _, sel := range []string{"", "fig99", "99", "0", "nope", "flt-nope", "decomp2"} {
+		if _, ok := Lookup(sel); ok {
+			t.Fatalf("Lookup accepted unknown selector %q", sel)
+		}
+		if got := Select(sel); got != nil {
+			t.Fatalf("Select(%q) = %v, want nil", sel, ids(got))
+		}
+	}
+}
+
+// ids returns the experiment ids of figs.
+func ids(figs []Figure) []string {
+	out := make([]string, len(figs))
+	for i, f := range figs {
+		out[i] = f.ID
+	}
+	return out
 }
 
 func TestResultTableRendering(t *testing.T) {

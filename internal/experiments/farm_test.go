@@ -68,15 +68,8 @@ func helperSweep() int {
 		return 1
 	}
 	figID := os.Getenv("DCLUE_FARM_FIG")
-	var fig *Figure
-	for _, f := range everyFigure() {
-		if f.ID == figID {
-			f := f
-			fig = &f
-			break
-		}
-	}
-	if fig == nil {
+	fig, ok := Lookup(figID)
+	if !ok {
 		return fail(fmt.Errorf("unknown figure %q", figID))
 	}
 	coord, err := farm.New(farm.Config{
@@ -124,7 +117,7 @@ func TestFarmEveryFigureByteIdentical(t *testing.T) {
 	}
 	root := t.TempDir()
 	cacheDir := filepath.Join(root, "cache")
-	for _, f := range everyFigure() {
+	for _, f := range All() {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
 			ref := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
@@ -183,15 +176,11 @@ func TestFarmKillAndResume(t *testing.T) {
 		t.Skip("spawns coordinator and worker subprocesses")
 	}
 	const figID = "fig02"
-	var ref Result
-	for _, f := range everyFigure() {
-		if f.ID == figID {
-			ref = f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
-		}
-	}
-	if ref.ID != figID {
+	f, ok := Lookup(figID)
+	if !ok {
 		t.Fatalf("figure %s not registered", figID)
 	}
+	ref := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
 
 	root := t.TempDir()
 	resultsDir := filepath.Join(root, "results")

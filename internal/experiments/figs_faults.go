@@ -14,26 +14,6 @@ import (
 // when the unified Ethernet fabric misbehaves: lost XFER and status PDUs
 // become bounded timeouts, retried fetches and (at worst) aborted-and-
 // retried transactions, never hung workers.
-func FaultFigures() []Figure {
-	return []Figure{
-		{"flt-loss", "Degradation vs burst-loss intensity on the inter-LATA path", FaultLossSweep},
-		{"flt-recovery", "Throughput timeline through a link-down + burst-loss fault", FaultRecovery},
-		{"flt-layers", "Degradation by faulted layer: network vs node vs storage", FaultLayers},
-		{"flt-failover", "Throughput through a node crash, recovery and re-admission", FaultFailover},
-		{"flt-failover-size", "Recovery and unavailability window vs cluster size", FaultFailoverSize},
-		{"flt-failover-ckpt", "Recovery window vs checkpoint interval", FaultFailoverCkpt},
-	}
-}
-
-// LookupFault finds a fault experiment by id.
-func LookupFault(id string) (Figure, bool) {
-	for _, f := range FaultFigures() {
-		if f.ID == id || "flt-"+id == f.ID {
-			return f, true
-		}
-	}
-	return Figure{}, false
-}
 
 // faultParams is the common 4-node configuration the fault experiments
 // perturb: two LATAs so the inter-LATA path matters, moderate affinity so

@@ -14,21 +14,6 @@ import (
 // extension splits them into where the time actually goes — CPU, lock waits,
 // cache-fusion messaging, storage, fabric — across cluster sizes and the
 // Fig 11 offload modes, from the same runs the throughput numbers come from.
-func TraceFigures() []Figure {
-	return []Figure{
-		{"lat-decomp", "Transaction latency decomposition by phase (nodes x offload)", LatencyDecomposition},
-	}
-}
-
-// LookupTrace finds a trace experiment by id.
-func LookupTrace(id string) (Figure, bool) {
-	for _, f := range TraceFigures() {
-		if f.ID == id || "lat-"+id == f.ID {
-			return f, true
-		}
-	}
-	return Figure{}, false
-}
 
 // LatencyDecomposition traces every transaction of fixed-load runs across
 // cluster sizes and offload modes and tabulates the per-phase mean self

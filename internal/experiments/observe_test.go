@@ -27,7 +27,7 @@ func checkFiguresNonPerturbing(t *testing.T, obs observerSet) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			f, ok := findFigure(id)
+			f, ok := Lookup(id)
 			if !ok {
 				t.Fatalf("figure %q not registered", id)
 			}

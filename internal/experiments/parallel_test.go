@@ -8,16 +8,6 @@ import (
 	"dclue/internal/runner"
 )
 
-// everyFigure is the complete experiment registry: paper figures, fault
-// experiments and ablations.
-func everyFigure() []Figure {
-	figs := All()
-	figs = append(figs, FaultFigures()...)
-	figs = append(figs, Ablations()...)
-	figs = append(figs, TraceFigures()...)
-	return figs
-}
-
 // TestParallelDeterminismEveryFigure is the sweep engine's core contract:
 // for every registered experiment, a parallel run renders a table (and
 // therefore a fingerprint) byte-identical to the sequential run. Runs use
@@ -27,7 +17,7 @@ func TestParallelDeterminismEveryFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps every registered experiment twice")
 	}
-	for _, f := range everyFigure() {
+	for _, f := range All() {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
 			seq := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})

@@ -13,29 +13,30 @@ type future struct {
 	err  error
 }
 
+// Exec evaluates one simulation point. It must behave as a pure,
+// deterministic function of its Params: callers (the capacity search, the
+// sweep merge step, the golden-figure regressions) assume two Exec calls
+// with equal Params return identical Metrics. core.Run is the in-process
+// executor; the experiment farm substitutes one that ships the point to a
+// worker process or serves it from the content-addressed result cache —
+// indistinguishable to the sweep by this contract.
+type Exec func(core.Params) (core.Metrics, error)
+
 // Capacity runs core's capacity bisection with speculative parallel
 // probing: while the search evaluates one midpoint, free pool slots warm
 // the two candidate midpoints the next iteration may need, halving the
 // critical path of the search when workers are available. Probes are
-// memoized by warehouse count and each probe is a pure deterministic run,
-// so the bisection visits the same path and returns a result byte-identical
-// to core.MeasureCapacity — speculation only ever wastes work, never
-// changes the answer.
-func Capacity(pool *Pool, p core.Params, maxPerNode int) core.CapacityResult {
-	return CapacityExec(pool, nil, p, maxPerNode)
-}
-
-// CapacityExec is Capacity with a pluggable point executor (nil = in-process
-// core.Run). Because the bisection path is a function of probe outcomes only
-// and exec is held to the deterministic Exec contract, the result is
-// byte-identical whichever executor evaluates the probes — the speculative
-// warming just overlaps farm round trips the same way it overlaps local runs.
-func CapacityExec(pool *Pool, exec Exec, p core.Params, maxPerNode int) core.CapacityResult {
+// memoized by warehouse count and each probe is a pure deterministic run
+// through exec (nil means in-process core.Run), so the bisection visits the
+// same path and returns a result byte-identical to core.MeasureCapacity
+// whichever executor evaluates the probes — speculation only ever wastes
+// work, never changes the answer.
+func Capacity(pool *Pool, exec Exec, p core.Params, maxPerNode int) core.CapacityResult {
 	if exec == nil {
 		exec = core.Run
 	}
 	if pool.Workers() <= 1 {
-		return core.SearchCapacity(p, maxPerNode, core.CapacityProbe(exec), nil)
+		return core.SearchCapacity(p, maxPerNode, exec, nil)
 	}
 
 	var mu sync.Mutex

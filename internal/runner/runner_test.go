@@ -94,36 +94,6 @@ func TestTryGoBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestRunPointsOrderAndSeedOverride(t *testing.T) {
-	base := tinyParams(1)
-	pts := []Point{
-		{Label: "a", Params: base},
-		{Label: "b", Params: base, Seed: 7},
-		{Label: "c", Params: tinyParams(2)},
-	}
-	got := New(4).RunPoints(pts)
-	if len(got) != len(pts) {
-		t.Fatalf("results %d, want %d", len(got), len(pts))
-	}
-	for i, r := range got {
-		if r.Err != nil {
-			t.Fatalf("point %d: %v", i, r.Err)
-		}
-		if r.Point.Label != pts[i].Label {
-			t.Fatalf("results out of order: %q at %d", r.Point.Label, i)
-		}
-	}
-	qb := base
-	qb.Seed = 7
-	want := core.MustRun(qb)
-	if got[1].Metrics.Fingerprint() != want.Fingerprint() {
-		t.Fatal("seed override not applied or run nondeterministic")
-	}
-	if got[0].Metrics.Fingerprint() == got[1].Metrics.Fingerprint() {
-		t.Fatal("different seeds produced identical metrics")
-	}
-}
-
 // TestCapacityMatchesSequential is the speculative search's contract: same
 // warehouses, same feasibility, same metrics fingerprint as the plain
 // bisection, whatever the pool width.
@@ -132,7 +102,7 @@ func TestCapacityMatchesSequential(t *testing.T) {
 	p.Warehouses = 0
 	want := core.MeasureCapacity(p, 4)
 	for _, workers := range []int{1, 2, 4, 8} {
-		got := Capacity(New(workers), p, 4)
+		got := Capacity(New(workers), nil, p, 4)
 		if got.Warehouses != want.Warehouses || got.Feasible != want.Feasible {
 			t.Fatalf("workers=%d: capacity (%d, %v), want (%d, %v)",
 				workers, got.Warehouses, got.Feasible, want.Warehouses, want.Feasible)
