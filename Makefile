@@ -25,7 +25,6 @@ lint:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s ./internal/faults
 	$(GO) test -run '^$$' -fuzz FuzzParseAllow -fuzztime 10s ./internal/lint/analysis
-	$(GO) test -run '^$$' -fuzz FuzzWorkerProtocol -fuzztime 10s ./internal/farm
 
 # Kernel performance gate: scheduler microbenchmarks plus one quick reference
 # figure, compared against bench/kernel_baseline.json (>20% worse fails).

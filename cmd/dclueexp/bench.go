@@ -27,25 +27,13 @@ type benchRun struct {
 	Seed       uint64        `json:"seed"`
 	Telemetry  bool          `json:"telemetry,omitempty"`
 	TotalSec   float64       `json:"total_seconds"`
-	Farm       *benchFarm    `json:"farm,omitempty"`
 	Figures    []benchFigure `json:"figures"`
 }
 
-// benchFarm records a -farm run's coordinator counters: how many points the
-// sweep needed and how each was satisfied (checkpoint, cache, or a worker
-// execution). A warm rerun shows the same points with execs near zero.
-type benchFarm struct {
-	Workers        int    `json:"workers"`
-	Points         uint64 `json:"points"`
-	CheckpointHits uint64 `json:"checkpoint_hits"`
-	CacheHits      uint64 `json:"cache_hits"`
-	Execs          uint64 `json:"execs"`
-	Requeues       uint64 `json:"requeues"`
-	Restarts       uint64 `json:"restarts"`
-}
-
+// benchFile holds earlier records as raw JSON, so an append keeps every
+// key they carry, including keys benchRun does not declare.
 type benchFile struct {
-	Runs []benchRun `json:"runs"`
+	Runs []json.RawMessage `json:"runs"`
 }
 
 // appendBench appends rec to the run list in path, creating the file if
@@ -59,7 +47,11 @@ func appendBench(path string, rec benchRun) error {
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	bf.Runs = append(bf.Runs, rec)
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	bf.Runs = append(bf.Runs, raw)
 	out, err := json.MarshalIndent(bf, "", "  ")
 	if err != nil {
 		return err

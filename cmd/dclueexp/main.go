@@ -11,6 +11,8 @@
 // GOMAXPROCS); the output is byte-identical to a sequential run (-j 1),
 // only faster. -bench appends a machine-readable record of the run —
 // per-figure points, fingerprints and wall-clock — to BENCH_sweeps.json.
+// -status serves the elapsed wall-clock at /status and the sealed
+// telemetry at /metrics while the sweep runs.
 //
 // Examples:
 //
@@ -22,17 +24,8 @@
 //	dclueexp -run lat-decomp -quick  # latency decomposition by phase
 //	dclueexp -run 2 -quick -trace fig2.json   # same table + Chrome trace
 //	dclueexp -run util-decomp -quick -telemetry util.jsonl -telemetry-bucket 5
-//	dclueexp -run fig -quick -farm 4     # shard points across 4 worker processes
-//	dclueexp -run fig -quick -farm 4 -status :8080   # live progress at /status
+//	dclueexp -run fig -quick -status :8080   # elapsed time at /status
 //	dclueexp -list
-//
-// -farm N runs the sweep as a coordinator that shards simulation points
-// across N exec'd copies of this binary (each running in -worker mode,
-// speaking line-delimited JSON over stdin/stdout). Every completed point is
-// checkpointed atomically under -results-dir, so a killed sweep resumes
-// where it left off, and cached under -cache-dir keyed by (params, seed,
-// binary hash), so a repeated sweep is served from disk. Tables are
-// byte-identical to in-process runs at any worker count.
 package main
 
 import (
@@ -47,52 +40,31 @@ import (
 	"dclue"
 	"dclue/internal/cliutil"
 	"dclue/internal/experiments"
-	"dclue/internal/farm"
 )
 
 func main() {
 	var (
-		runID    = flag.String("run", "", "experiments to run: an id from -list, the id without its family prefix (6 for fig06, qos for abl-qos), or a family (fig, abl, flt, lat, util)")
-		list     = flag.Bool("list", false, "list every experiment: figures, ablations, fault, trace and telemetry experiments")
-		quick    = flag.Bool("quick", false, "reduced sweeps and shorter runs")
-		chart    = flag.Bool("chart", false, "render ASCII charts instead of tables")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		jobs     = flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-		bench    = flag.String("bench", "", "append a run record (figures, fingerprints, wall-clock) to this JSON file")
-		statusA  = flag.String("status", "", "serve a live status endpoint on this address (e.g. :8080): farm progress JSON at /status, Prometheus telemetry snapshot at /metrics")
-		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep process to this file")
-		memprof  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		farmN    = flag.Int("farm", 0, "shard point execution across N exec'd worker processes (0 = in-process)")
-		workerF  = flag.Bool("worker", false, "farm worker mode: serve jobs over stdin/stdout and exit on EOF (spawned by -farm)")
-		resDir   = flag.String("results-dir", ".dcluefarm/results", "with -farm, per-sweep checkpoint directory (reuse it to resume an interrupted sweep)")
-		cacheDir = flag.String("cache-dir", ".dcluefarm/cache", "with -farm, cross-sweep result cache directory (empty disables caching)")
-		obs      = cliutil.AddObservers(flag.CommandLine)
+		runID   = flag.String("run", "", "experiments to run: an id from -list, the id without its family prefix (6 for fig06, qos for abl-qos), or a family (fig, abl, flt, lat, util)")
+		list    = flag.Bool("list", false, "list every experiment: figures, ablations, fault, trace and telemetry experiments")
+		quick   = flag.Bool("quick", false, "reduced sweeps and shorter runs")
+		chart   = flag.Bool("chart", false, "render ASCII charts instead of tables")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		jobs    = flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
+		bench   = flag.String("bench", "", "append a run record (figures, fingerprints, wall-clock) to this JSON file")
+		statusA = flag.String("status", "", "serve a live status endpoint on this address (e.g. :8080): elapsed wall-clock JSON at /status, Prometheus telemetry snapshot at /metrics")
+		cpuprof = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep process to this file")
+		memprof = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		obs     = cliutil.AddObservers(flag.CommandLine)
 	)
 	flag.Parse()
-
-	if *workerF {
-		// Workers do nothing but serve jobs: no profiles, no figures, no
-		// output beyond protocol replies on stdout and diagnostics on
-		// stderr. EOF on stdin (coordinator gone) ends the process.
-		if err := farm.Serve(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dclueexp worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
 
 	stopProf, err := cliutil.StartProfiles(*cpuprof, *memprof)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dclueexp:", err)
 		os.Exit(1)
 	}
-	// exit stops the worker farm and flushes the profiles before leaving
-	// (os.Exit skips defers).
-	var coord *farm.Coordinator
+	// exit flushes the profiles before leaving (os.Exit skips defers).
 	exit := func(code int) {
-		if coord != nil {
-			coord.Close()
-		}
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, "dclueexp:", err)
 			if code == 0 {
@@ -105,12 +77,6 @@ func main() {
 	workers := *jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		if *farmN > 0 {
-			// The farm moves point execution out of this process, so the
-			// natural in-process dispatch width is the worker count: enough
-			// in-flight points to keep every worker busy, no more.
-			workers = *farmN
-		}
 	}
 	var pool *dclue.SweepPool
 	if workers > 1 {
@@ -122,34 +88,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dclueexp:", err)
 		exit(2)
 	}
-	if *farmN > 0 && (obs.Trace != nil || obs.Telemetry != nil) {
-		// The decompositions survive farming (workers re-attach collectors
-		// per point and only Breakdown and UtilDecomp travel back), but the
-		// span events and registries behind the exports die with each
-		// worker process and cannot be stitched back together.
-		fmt.Fprintln(os.Stderr, "dclueexp: -trace and -telemetry cannot be combined with -farm")
-		exit(2)
-	}
 	opts.Trace, opts.Telemetry = obs.Trace, obs.Telemetry
-
-	if *farmN > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			exe = os.Args[0]
-		}
-		coord, err = farm.New(farm.Config{
-			Workers:    *farmN,
-			Argv:       []string{exe, "-worker"},
-			ResultsDir: *resDir,
-			CacheDir:   *cacheDir,
-			Stderr:     os.Stderr,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dclueexp:", err)
-			exit(1)
-		}
-		opts.Exec = coord.Exec
-	}
 
 	if *statusA != "" {
 		ln, err := net.Listen("tcp", *statusA)
@@ -159,7 +98,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "status: serving on http://%s (/status, /metrics)\n", ln.Addr())
 		//lint:allow goroutine the status endpoint serves HTTP beside the sweep and only reads lock-protected snapshots, never sim state
-		go http.Serve(ln, newStatusServer(coord, obs.Telemetry))
+		go http.Serve(ln, newStatusServer(obs.Telemetry))
 	}
 
 	if *list {
@@ -210,28 +149,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "total %.1fs (%d figures, %d workers, GOMAXPROCS=%d)\n",
 		total.Seconds(), len(results), workers, runtime.GOMAXPROCS(0))
 
-	var farmStats *benchFarm
-	if coord != nil {
-		st := coord.Stats()
-		alive := 0
-		for _, ws := range coord.Status().Workers {
-			if ws.Alive {
-				alive++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "farm: workers=%d points=%d checkpoint=%d cache=%d exec=%d requeued=%d restarts=%d failures=%d alive=%d\n",
-			*farmN, st.Points, st.CheckpointHits, st.CacheHits, st.Execs, st.Requeues, st.Restarts, st.Failures, alive)
-		farmStats = &benchFarm{
-			Workers:        *farmN,
-			Points:         st.Points,
-			CheckpointHits: st.CheckpointHits,
-			CacheHits:      st.CacheHits,
-			Execs:          st.Execs,
-			Requeues:       st.Requeues,
-			Restarts:       st.Restarts,
-		}
-	}
-
 	if *bench != "" {
 		rec := benchRun{
 			Timestamp:  cliutil.NowUTC().Format(time.RFC3339),
@@ -242,7 +159,6 @@ func main() {
 			Seed:       *seed,
 			Telemetry:  obs.Telemetry != nil,
 			TotalSec:   round3(total.Seconds()),
-			Farm:       farmStats,
 		}
 		for i, r := range results {
 			points := 0

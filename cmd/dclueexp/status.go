@@ -7,35 +7,29 @@ import (
 	"time"
 
 	"dclue"
-	"dclue/internal/farm"
 )
 
 // statusServer serves the -status observability endpoints while a sweep
 // runs:
 //
-//	/status   live progress JSON — wall-clock elapsed plus, under -farm, the
-//	          coordinator snapshot (cumulative counters, per-worker health
-//	          and restart counts, every point's current state)
+//	/status   live progress JSON: wall-clock seconds elapsed
 //	/metrics  Prometheus text snapshot of the telemetry registries sealed so
 //	          far (one registry per completed telemetered run)
 //
-// Both read consistent snapshots (the coordinator copies under its lock;
-// only sealed registries are exported), so serving concurrently with the
+// Only sealed registries are exported, so serving concurrently with the
 // sweep never races it — and never perturbs it, since handlers only read.
 type statusServer struct {
 	start time.Time
-	coord *farm.Coordinator         // nil without -farm
 	tel   *dclue.TelemetryCollector // nil without -telemetry
 }
 
 // statusReply is the /status response body.
 type statusReply struct {
-	ElapsedSec float64      `json:"elapsed_s"`
-	Farm       *farm.Status `json:"farm,omitempty"`
+	ElapsedSec float64 `json:"elapsed_s"`
 }
 
-func newStatusServer(coord *farm.Coordinator, tel *dclue.TelemetryCollector) http.Handler {
-	s := &statusServer{start: time.Now(), coord: coord, tel: tel}
+func newStatusServer(tel *dclue.TelemetryCollector) http.Handler {
+	s := &statusServer{start: time.Now(), tel: tel}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", s.serveStatus)
 	mux.HandleFunc("/metrics", s.serveMetrics)
@@ -45,10 +39,6 @@ func newStatusServer(coord *farm.Coordinator, tel *dclue.TelemetryCollector) htt
 
 func (s *statusServer) serveStatus(w http.ResponseWriter, r *http.Request) {
 	rep := statusReply{ElapsedSec: time.Since(s.start).Seconds()}
-	if s.coord != nil {
-		st := s.coord.Status()
-		rep.Farm = &st
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -70,5 +60,5 @@ func (s *statusServer) serveIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprintln(w, "dclueexp status endpoints:\n  /status   sweep + farm progress (JSON)\n  /metrics  telemetry snapshot (Prometheus text)")
+	fmt.Fprintln(w, "dclueexp status endpoints:\n  /status   sweep progress (JSON)\n  /metrics  telemetry snapshot (Prometheus text)")
 }

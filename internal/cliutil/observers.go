@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 
 	"dclue/internal/sim"
 	"dclue/internal/telemetry"
@@ -38,13 +39,23 @@ func AddObservers(fs *flag.FlagSet) *Observers {
 
 // Start builds the collectors the parsed flags ask for. A sampling flag
 // set away from its default without its file flag is an error: it would
-// otherwise be silently ignored.
+// otherwise be silently ignored. So is a value the collector would
+// otherwise clamp: a stride below 1, or a bucket that is not 0 and does
+// not convert to between 1 ns and the largest sim.Time.
 func (o *Observers) Start() error {
 	if o.traceFile == "" && o.traceEvery != 1 {
 		return errors.New("-trace-sample requires -trace")
 	}
 	if o.telemFile == "" && o.telemBkt != 0 {
 		return errors.New("-telemetry-bucket requires -telemetry")
+	}
+	if o.traceEvery < 1 {
+		return fmt.Errorf("-trace-sample %d: want a stride of at least 1", o.traceEvery)
+	}
+	// The negated range test also rejects NaN.
+	if ns := o.telemBkt * float64(sim.Second); o.telemBkt != 0 && !(ns >= 1 && ns < math.MaxInt64) {
+		return fmt.Errorf("-telemetry-bucket %g: want 0 (scalars only) or 1e-9 to %g simulated seconds",
+			o.telemBkt, sim.Time(math.MaxInt64).Seconds())
 	}
 	if o.traceFile != "" {
 		o.Trace = trace.NewCollector(o.traceEvery)

@@ -40,6 +40,36 @@ func TestObserversRejectOrphanFlags(t *testing.T) {
 	}
 }
 
+// TestObserversRejectOutOfRange: a stride below 1 and a bucket that is
+// negative, not finite, or nonzero but outside 1 ns to the largest
+// sim.Time are rejected rather than clamped; a zero bucket and buckets
+// near both ends of the range are accepted.
+func TestObserversRejectOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-trace", "x.json", "-trace-sample", "0"}, false},
+		{[]string{"-trace", "x.json", "-trace-sample", "-4"}, false},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "-5"}, false},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "NaN"}, false},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "Inf"}, false},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "-Inf"}, false},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "1e300"}, false},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "1e10"}, false},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "1e-12"}, false},
+		{[]string{"-trace", "x.json", "-trace-sample", "1"}, true},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "0"}, true},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "2e-9"}, true},
+		{[]string{"-telemetry", "x.jsonl", "-telemetry-bucket", "9e9"}, true},
+	} {
+		_, err := parseObservers(t, c.args...)
+		if (err == nil) != c.ok {
+			t.Errorf("%v: err=%v, want accepted=%v", c.args, err, c.ok)
+		}
+	}
+}
+
 // TestObserversBuildAndWrite: the file flags build collectors configured
 // from the sampling flags, and Write exports each to its file.
 func TestObserversBuildAndWrite(t *testing.T) {

@@ -162,13 +162,8 @@ type Params struct {
 	// Trace and Telemetry are observers: they never perturb the simulated
 	// trajectory or add calendar events, so an observed run's metrics
 	// outside Breakdown and UtilDecomp are bit-identical to a bare run's
-	// (Metrics.FingerprintModel is the regression hook). The collectors are
-	// process-local state, not configuration: they are excluded from the
-	// JSON form of Params, which the experiment farm uses as the canonical
-	// wire and cache-key encoding of a point. Farm workers re-attach
-	// equivalent collectors from the job's trace-sample stride and
-	// telemetry fields instead.
-	Trace *trace.Collector `json:"-"`
+	// (Metrics.FingerprintModel is the regression hook).
+	Trace *trace.Collector
 
 	// Telemetry, when non-nil, enables the unified metrics registry
 	// (internal/telemetry): the run registers per-component utilization
@@ -176,7 +171,7 @@ type Params struct {
 	// queue occupancy, CPU thread/IRQ busy, per-spindle disk utilization,
 	// GCS message rates and lock waits, recovery phase timelines — and
 	// reports Metrics.UtilDecomp.
-	Telemetry *telemetry.Collector `json:"-"`
+	Telemetry *telemetry.Collector
 
 	// Label names this run in trace and telemetry exports; empty derives
 	// a label from the cluster size and offload mode.

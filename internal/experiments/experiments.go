@@ -53,13 +53,12 @@ type Options struct {
 	// (TestObserversNonPerturbing checks both across the golden suite).
 	Telemetry *telemetry.Collector
 
-	// Exec, when non-nil, evaluates every simulation point of every figure
-	// in place of in-process core.Run — the hook the experiment farm uses to
-	// ship points to worker processes and serve repeats from its
-	// content-addressed result cache. Exec is held to the runner.Exec
-	// contract (a pure deterministic function of Params), so the rendered
-	// tables are byte-identical whichever executor is installed; nil (the
-	// default) runs every point in-process.
+	// Exec, when non-nil, evaluates every simulation point of every figure,
+	// capacity probes included, in place of core.Run — the hook perfbench's
+	// sweep-observed workload uses to time each point. Exec is held to the
+	// runner.Exec contract (a pure deterministic function of Params), so the
+	// rendered tables are byte-identical whichever executor is installed;
+	// nil (the default) calls core.Run directly.
 	Exec runner.Exec
 
 	// tinyRuns (test hook) shrinks workload sizing and windows far below
@@ -310,8 +309,8 @@ func (o Options) capacity(p core.Params) core.CapacityResult {
 }
 
 // run evaluates one simulation point through the installed executor
-// (in-process core.Run by default). Every figure's points go through here or
-// through o.capacity — the single-funnel property the farm relies on.
+// (core.Run by default). Every figure's points go through here or through
+// o.capacity — the single-funnel property per-point timing relies on.
 func (o Options) run(p core.Params) (core.Metrics, error) {
 	if o.Exec != nil {
 		return o.Exec(p)

@@ -3,16 +3,20 @@ package experiments
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"dclue/internal/core"
 	"dclue/internal/runner"
 )
 
 // TestParallelDeterminismEveryFigure is the sweep engine's core contract:
 // for every registered experiment, a parallel run renders a table (and
-// therefore a fingerprint) byte-identical to the sequential run. Runs use
-// the tiny test sizing so the whole registry stays affordable; the golden
-// tests cover real Quick-mode output.
+// therefore a fingerprint) byte-identical to the sequential run. The
+// parallel run goes through a counting Options.Exec, so an experiment
+// whose points bypass the executor seam fails too. Runs use the tiny test
+// sizing so the whole registry stays affordable; the golden tests cover
+// real Quick-mode output.
 func TestParallelDeterminismEveryFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps every registered experiment twice")
@@ -20,8 +24,16 @@ func TestParallelDeterminismEveryFigure(t *testing.T) {
 	for _, f := range All() {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
+			var execs atomic.Int64
+			exec := func(p core.Params) (core.Metrics, error) {
+				execs.Add(1)
+				return core.Run(p)
+			}
 			seq := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
-			par := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true, Pool: runner.New(4)})
+			par := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true, Pool: runner.New(4), Exec: exec})
+			if execs.Load() == 0 {
+				t.Error("no simulation point went through Options.Exec")
+			}
 			if seq.Table() != par.Table() {
 				t.Errorf("parallel table diverges from sequential.\n-- sequential --\n%s-- parallel --\n%s",
 					seq.Table(), par.Table())

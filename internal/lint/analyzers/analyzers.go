@@ -55,14 +55,12 @@ func globalRandExempt(pkgPath string) bool {
 		strings.HasPrefix(pkgPath, "dclue/internal/lint")
 }
 
-// concurrencyExempt: internal/sim owns the coroutine kernel,
-// internal/runner owns the work-stealing sweep pool, and internal/farm owns
-// the multi-process sweep coordinator (goroutine-per-worker dispatch); all
-// other model code must be single-threaded from the kernel's point of view.
+// concurrencyExempt: internal/sim owns the coroutine kernel and
+// internal/runner owns the work-stealing sweep pool; all other model code
+// must be single-threaded from the kernel's point of view.
 func concurrencyExempt(pkgPath string) bool {
 	return pkgPath == "dclue/internal/sim" ||
 		pkgPath == "dclue/internal/runner" ||
-		pkgPath == "dclue/internal/farm" ||
 		strings.HasPrefix(pkgPath, "dclue/internal/lint")
 }
 

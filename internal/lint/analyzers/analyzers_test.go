@@ -74,7 +74,6 @@ func TestPolicyExemptions(t *testing.T) {
 		{"simrand", "dclue/internal/tpcc", false},
 		{"goroutine", "dclue/internal/sim", true},
 		{"goroutine", "dclue/internal/runner", true},
-		{"goroutine", "dclue/internal/farm", true},
 		{"goroutine", "dclue/internal/cliutil", false},
 		{"goroutine", "dclue/internal/trace", false},
 		{"goroutine", "dclue/cmd/dclueexp", false},

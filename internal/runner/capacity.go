@@ -16,10 +16,9 @@ type future struct {
 // Exec evaluates one simulation point. It must behave as a pure,
 // deterministic function of its Params: callers (the capacity search, the
 // sweep merge step, the golden-figure regressions) assume two Exec calls
-// with equal Params return identical Metrics. core.Run is the in-process
-// executor; the experiment farm substitutes one that ships the point to a
-// worker process or serves it from the content-addressed result cache —
-// indistinguishable to the sweep by this contract.
+// with equal Params return identical Metrics. core.Run is the executor;
+// perfbench's sweep-observed workload wraps it to time every point, which
+// this contract keeps invisible to the sweep.
 type Exec func(core.Params) (core.Metrics, error)
 
 // Capacity runs core's capacity bisection with speculative parallel
