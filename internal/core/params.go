@@ -162,8 +162,9 @@ type Params struct {
 	// Trace and Telemetry are observers: they never perturb the simulated
 	// trajectory or add calendar events, so an observed run's metrics
 	// outside Breakdown and UtilDecomp are bit-identical to a bare run's
-	// (Metrics.FingerprintModel is the regression hook).
-	Trace *trace.Collector
+	// (Metrics.FingerprintModel is the regression hook). Both are process
+	// state, not configuration, so the JSON form of Params leaves them out.
+	Trace *trace.Collector `json:"-"`
 
 	// Telemetry, when non-nil, enables the unified metrics registry
 	// (internal/telemetry): the run registers per-component utilization
@@ -171,7 +172,7 @@ type Params struct {
 	// queue occupancy, CPU thread/IRQ busy, per-spindle disk utilization,
 	// GCS message rates and lock waits, recovery phase timelines — and
 	// reports Metrics.UtilDecomp.
-	Telemetry *telemetry.Collector
+	Telemetry *telemetry.Collector `json:"-"`
 
 	// Label names this run in trace and telemetry exports; empty derives
 	// a label from the cluster size and offload mode.

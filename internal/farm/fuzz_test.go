@@ -61,14 +61,13 @@ func fuzzSeeds(f *testing.F) {
 	}
 }
 
-// FuzzWorkerProtocol holds both protocol decoders — and the worker's serve
-// loop around them — to their robustness contract: arbitrary input bytes
-// never panic and never hang; whatever DOES decode round-trips exactly; and
-// every line the serve loop emits is itself a well-formed Reply frame.
+// FuzzWorkerProtocol holds both protocol decoders — and a serve loop
+// around them — to their robustness contract: arbitrary input bytes never
+// panic and never hang; whatever DOES decode round-trips exactly; and every
+// line the serve loop emits is itself a well-formed Reply frame.
 //
-// The serve loop is exercised with the job runner stubbed out (a real job
-// would start a simulation; the fuzzer's job is the framing around it, and
-// runJob's panic-safety is pinned by the coordinator tests).
+// The serve loop answers jobs with a stub result instead of a simulation:
+// the fuzzer's job is the framing around it.
 func FuzzWorkerProtocol(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -99,7 +98,7 @@ func FuzzWorkerProtocol(f *testing.F) {
 
 		// Drive the serve loop's framing over the whole stream. Decodable
 		// jobs are answered by a stub (no simulation); everything else takes
-		// the in-band error path — exactly Serve's structure.
+		// the in-band error path.
 		var out bytes.Buffer
 		serveFramesForFuzz(data, &out)
 		for _, line := range bytes.Split(out.Bytes(), []byte("\n")) {
@@ -113,8 +112,9 @@ func FuzzWorkerProtocol(f *testing.F) {
 	})
 }
 
-// serveFramesForFuzz mirrors Serve's scan/decode/reply framing with job
-// execution stubbed to a fixed result.
+// serveFramesForFuzz scans data one protocol line at a time and writes one
+// Reply line per non-blank line: a fixed result for a decodable job, an
+// in-band error for anything else.
 func serveFramesForFuzz(data []byte, out *bytes.Buffer) {
 	sc := NewLineScanner(bytes.NewReader(data))
 	for sc.Scan() {

@@ -1,21 +1,8 @@
-// Package farm is the distributed experiment farm: it shards the simulation
-// points of a sweep across exec'd worker processes, checkpoints every result
-// atomically under a results directory, and serves repeated points from a
-// content-addressed cache keyed by (params fingerprint, seed, code hash).
-//
-// The farm slots in behind the runner.Exec contract: experiments hand it the
-// exact core.Params of each point and get Metrics back, with no knowledge of
-// whether the point ran in this process, in one of N workers, or came from a
-// warm cache entry. Because every executor is held to the same pure-function
-// contract, a farm sweep's rendered tables are byte-identical to an
-// in-process -j1 run — the invariant the farm test suite pins point by point.
-//
-// Wire protocol: coordinator and worker speak line-delimited JSON over the
-// worker's stdin/stdout. One Job line in, one Reply line out, strictly in
-// order; the worker's stderr passes through for progress logs. Both decoders
-// are strict (unknown fields rejected, one object per line, bounded line
-// length) so a corrupted or interleaved stream fails fast instead of being
-// half-trusted — and, by fuzzed contract, without ever panicking or hanging.
+// Package farm is the wire codec left from the deleted multi-process
+// experiment farm: line-delimited JSON, one Job per line to a worker and
+// one Reply per line back. The decoders are strict, and FuzzWorkerProtocol
+// holds them to never panicking or hanging. Nothing calls the codec any
+// more; ROADMAP item 7 schedules its deletion.
 package farm
 
 import (
@@ -27,50 +14,27 @@ import (
 	"io"
 
 	"dclue/internal/core"
-	"dclue/internal/sim"
 )
 
-// MaxLineBytes bounds one protocol line. Metrics with long timelines reach
-// tens of kilobytes; a megabyte of headroom keeps the bound far from real
-// traffic while still refusing unbounded garbage.
+// MaxLineBytes bounds one protocol line.
 const MaxLineBytes = 8 << 20
 
-// Job is one simulation point shipped coordinator -> worker.
+// Job is one simulation point; its Reply echoes ID and Key. Params travels
+// without its process-local collectors, and a positive TraceSample asks for
+// a span collector with that sampling stride.
 type Job struct {
-	// ID matches a Reply to its Job on the connection; it is per-worker
-	// conversation state, not part of the point's identity.
-	ID uint64 `json:"id"`
-	// Key is the point's content-addressed identity (see PointKey). The
-	// worker echoes it so a reply can never be attributed to the wrong
-	// point even if IDs are confused.
-	Key string `json:"key"`
-	// Params is the resolved parameter set (canonical JSON form; the
-	// process-local Trace collector is excluded by construction).
-	Params core.Params `json:"params"`
-	// TraceSample, when positive, tells the worker to attach a private
-	// histogram-only span collector with that sampling stride, so the
-	// trace-derived Metrics.Breakdown comes back populated exactly as an
-	// in-process traced run would report it.
-	TraceSample int `json:"trace_sample,omitempty"`
-	// Telemetry tells the worker to attach a private telemetry collector so
-	// the telemetry-derived Metrics.UtilDecomp comes back populated exactly
-	// as an in-process telemetered run would report it (registries stay in
-	// the worker; only the decomposition scalars travel). TelemetryBucket is
-	// the collector's timeline bucket width and requires Telemetry.
-	Telemetry       bool     `json:"telemetry,omitempty"`
-	TelemetryBucket sim.Time `json:"telemetry_bucket,omitempty"`
+	ID          uint64      `json:"id"`
+	Key         string      `json:"key"`
+	Params      core.Params `json:"params"`
+	TraceSample int         `json:"trace_sample,omitempty"`
 }
 
-// Reply is one result shipped worker -> coordinator.
+// Reply is one result: Metrics, or Err for a deterministic failure.
 type Reply struct {
-	ID  uint64 `json:"id"`
-	Key string `json:"key,omitempty"`
-	// Metrics is the run's outcome; nil when Err is set.
+	ID      uint64        `json:"id"`
+	Key     string        `json:"key,omitempty"`
 	Metrics *core.Metrics `json:"metrics,omitempty"`
-	// Err reports a deterministic simulation failure (bad configuration,
-	// cluster construction error). Protocol failures never travel in-band:
-	// they surface as decode errors or a dead pipe.
-	Err string `json:"err,omitempty"`
+	Err     string        `json:"err,omitempty"`
 }
 
 // EncodeJob renders a Job as one protocol line (newline included).
@@ -87,9 +51,7 @@ func encodeLine(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeJob parses one Job line. It rejects anything but a single complete
-// JSON object with exactly Job's fields — a Reply line, a truncated line, or
-// interleaved objects all fail here rather than decode to a half-right Job.
+// DecodeJob parses one Job line: exactly one object with Job's fields.
 func DecodeJob(line []byte) (Job, error) {
 	var j Job
 	if err := decodeStrict(line, &j); err != nil {
@@ -100,12 +62,6 @@ func DecodeJob(line []byte) (Job, error) {
 	}
 	if j.TraceSample < 0 {
 		return Job{}, fmt.Errorf("farm: negative trace sample %d", j.TraceSample)
-	}
-	if j.TelemetryBucket < 0 {
-		return Job{}, fmt.Errorf("farm: negative telemetry bucket %d", j.TelemetryBucket)
-	}
-	if j.TelemetryBucket != 0 && !j.Telemetry {
-		return Job{}, errors.New("farm: telemetry bucket without telemetry")
 	}
 	return j, nil
 }
@@ -122,8 +78,8 @@ func DecodeReply(line []byte) (Reply, error) {
 	return r, nil
 }
 
-// decodeStrict decodes exactly one JSON object from line into v, rejecting
-// unknown fields and trailing data.
+// decodeStrict decodes one bounded JSON object with no unknown fields and
+// nothing after it.
 func decodeStrict(line []byte, v any) error {
 	if len(line) > MaxLineBytes {
 		return fmt.Errorf("farm: protocol line of %d bytes exceeds limit", len(line))
@@ -133,17 +89,13 @@ func decodeStrict(line []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("farm: bad protocol line: %w", err)
 	}
-	// A second decode must hit EOF: one object per line, nothing trailing
-	// (whitespace aside, which Decode skips).
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
 		return errors.New("farm: trailing data after protocol object")
 	}
 	return nil
 }
 
-// NewLineScanner wraps r in a scanner that yields one protocol line per Scan
-// with the MaxLineBytes bound enforced: an overlong line terminates the
-// stream with bufio.ErrTooLong instead of growing without bound.
+// NewLineScanner yields one protocol line per Scan, up to MaxLineBytes.
 func NewLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), MaxLineBytes)

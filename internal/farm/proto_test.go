@@ -9,6 +9,19 @@ import (
 	"dclue/internal/core"
 )
 
+// sampleMetrics builds a distinctive Metrics value without running a
+// simulation; v differentiates values.
+func sampleMetrics(v float64) core.Metrics {
+	return core.Metrics{
+		Nodes:      4,
+		Affinity:   0.8,
+		TpmC:       1234.5 + v,
+		RespTimeMs: 42.25 * v,
+		NetDrops:   uint64(v),
+		Timeline:   []core.TimelinePoint{{T: 1, TxnRate: v}},
+	}
+}
+
 func TestJobRoundTrip(t *testing.T) {
 	j := Job{ID: 7, Key: "abc", Params: core.DefaultParams(2), TraceSample: 3}
 	line, err := EncodeJob(j)
