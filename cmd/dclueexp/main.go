@@ -52,36 +52,15 @@ func main() {
 		jobs    = flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		bench   = flag.String("bench", "", "append a run record (figures, fingerprints, wall-clock) to this JSON file")
 		statusA = flag.String("status", "", "serve a live status endpoint on this address (e.g. :8080): elapsed wall-clock JSON at /status, Prometheus telemetry snapshot at /metrics")
-		cpuprof = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep process to this file")
-		memprof = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		prof    = cliutil.AddProfiles(flag.CommandLine, "dclueexp", "sweep")
 		obs     = cliutil.AddObservers(flag.CommandLine)
 	)
 	flag.Parse()
 
-	stopProf, err := cliutil.StartProfiles(*cpuprof, *memprof)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dclueexp:", err)
-		os.Exit(1)
-	}
-	// exit flushes the profiles before leaving (os.Exit skips defers).
-	exit := func(code int) {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "dclueexp:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		os.Exit(code)
-	}
+	prof.Start()
+	exit := prof.Exit
 
-	workers := *jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var pool *dclue.SweepPool
-	if workers > 1 {
-		pool = dclue.NewSweepPool(workers)
-	}
+	pool := dclue.NewSweepPool(*jobs)
 	opts := dclue.ExperimentOptions{Seed: *seed, Quick: *quick, Log: os.Stderr, Pool: pool}
 
 	if err := obs.Start(); err != nil {
@@ -147,12 +126,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%-16s %8.1fs  fingerprint=%016x\n", r.ID, elapsed[i].Seconds(), r.Fingerprint())
 	}
 	fmt.Fprintf(os.Stderr, "total %.1fs (%d figures, %d workers, GOMAXPROCS=%d)\n",
-		total.Seconds(), len(results), workers, runtime.GOMAXPROCS(0))
+		total.Seconds(), len(results), pool.Workers(), runtime.GOMAXPROCS(0))
 
 	if *bench != "" {
 		rec := benchRun{
 			Timestamp:  cliutil.NowUTC().Format(time.RFC3339),
-			Jobs:       workers,
+			Jobs:       pool.Workers(),
 			GoMaxProcs: runtime.GOMAXPROCS(0),
 			NumCPU:     runtime.NumCPU(),
 			Quick:      *quick,

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"dclue"
@@ -51,27 +50,13 @@ func main() {
 		retryMax   = flag.Float64("retry-delay-max", 0, "cap on the exponential retry backoff under recovery, simulated seconds (0 = 16x retry delay)")
 		timeline   = flag.Float64("timeline", 0, "print a throughput timeline at this bucket size, simulated seconds")
 		jobs       = flag.Int("j", 0, "workers for the -capacity search (0 = GOMAXPROCS; single runs are unaffected)")
-		cpuprof    = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator process to this file")
-		memprof    = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		prof       = cliutil.AddProfiles(flag.CommandLine, "dcluesim", "simulator")
 		obs        = cliutil.AddObservers(flag.CommandLine)
 	)
 	flag.Parse()
 
-	stopProf, err := cliutil.StartProfiles(*cpuprof, *memprof)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dcluesim:", err)
-		os.Exit(1)
-	}
-	// exit flushes the profiles before leaving (os.Exit skips defers).
-	exit := func(code int) {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "dcluesim:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		os.Exit(code)
-	}
+	prof.Start()
+	exit := prof.Exit
 
 	p := dclue.DefaultParams(*nodes)
 	p.NodesPerLata = *lata
@@ -95,11 +80,12 @@ func main() {
 	p.RetryDelayMax = dclue.Time(*retryMax * float64(dclue.Second))
 	p.TimelineBucket = dclue.Time(*timeline * float64(dclue.Second))
 
-	// Reject bad fault schedules up front: a typo'd target (crash:dp7 on a
-	// 4-node cluster) should fail with the list of valid names, not surface
-	// as a mid-run panic after the warm-up has burned real time.
-	if err := p.ValidateFaultSpec(); err != nil {
-		fmt.Fprintln(os.Stderr, "dcluesim: -faults:", err)
+	// Reject unusable parameters up front: a zero-node cluster or a typo'd
+	// fault target (crash:dp7 on a 4-node cluster) should fail naming the
+	// field, not surface as a mid-run panic after the warm-up has burned
+	// real time.
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "dcluesim:", err)
 		exit(1)
 	}
 
@@ -117,18 +103,11 @@ func main() {
 
 	start := time.Now()
 	if *capacity {
-		workers := *jobs
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		var pool *dclue.SweepPool
-		if workers > 1 {
-			pool = dclue.NewSweepPool(workers)
-		}
+		pool := dclue.NewSweepPool(*jobs)
 		r := dclue.MeasureCapacityWith(pool, p, 48)
 		fmt.Printf("capacity: %d warehouses (feasible=%v)\n", r.Warehouses, r.Feasible)
 		fmt.Print(r.Metrics)
-		fmt.Fprintf(os.Stderr, "elapsed %.1fs (%d workers)\n", time.Since(start).Seconds(), workers)
+		fmt.Fprintf(os.Stderr, "elapsed %.1fs (%d workers)\n", time.Since(start).Seconds(), pool.Workers())
 		writeObservers()
 		if !r.Feasible {
 			exit(1)

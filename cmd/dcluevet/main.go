@@ -10,7 +10,6 @@
 //	dcluevet [flags] [packages]      # default ./...
 //	dcluevet -list                   # describe the analyzers
 //	dcluevet -only poolown,eventid ./internal/...
-//	dcluevet -sarif findings.sarif   # also write SARIF 2.1.0 for code scanning
 //	dcluevet -allow-audit            # report stale //lint:allow directives
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
@@ -31,7 +30,6 @@ func main() {
 	var (
 		list       = flag.Bool("list", false, "list the analyzers and the invariant each enforces")
 		only       = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		sarifFile  = flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file (for GitHub code scanning upload)")
 		allowAudit = flag.Bool("allow-audit", false, "also report //lint:allow directives that suppress nothing (runs the full suite)")
 		verbose    = flag.Bool("v", false, "print loader warnings (stubbed imports, degraded types)")
 	)
@@ -81,12 +79,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dcluevet:", err)
 		os.Exit(2)
 	}
-	if *sarifFile != "" {
-		if err := writeSARIFFile(*sarifFile, findings, suite); err != nil {
-			fmt.Fprintln(os.Stderr, "dcluevet: writing sarif:", err)
-			os.Exit(2)
-		}
-	}
 	for _, f := range findings {
 		fmt.Println(f)
 	}
@@ -94,20 +86,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dcluevet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-}
-
-// writeSARIFFile renders findings relative to the working directory, which
-// in CI is the repository checkout — exactly what %SRCROOT% means to the
-// code-scanning upload.
-func writeSARIFFile(path string, findings []lint.Finding, suite []*analysis.Analyzer) error {
-	root, _ := os.Getwd()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := lint.WriteSARIF(f, findings, suite, root); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -62,8 +62,10 @@ const (
 func DefaultParams(nodes int) Params { return core.DefaultParams(nodes) }
 
 // Run builds the cluster, simulates warmup plus the measurement window, and
-// returns the metrics. It returns an error for an invalid fault schedule,
-// a setup failure, or a wedged simulation (kernel deadlock watchdog).
+// returns the metrics. It returns an error, before simulating, for Params
+// that Params.Validate rejects (a field out of range or a bad fault
+// schedule), and otherwise for a setup failure or a wedged simulation
+// (kernel deadlock watchdog).
 func Run(p Params) (Metrics, error) { return core.Run(p) }
 
 // FaultSchedule validates a fault-injection schedule in the compact syntax

@@ -3,6 +3,8 @@
 package cliutil
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -54,4 +56,46 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
+}
+
+// Profiles is the -cpuprofile/-memprofile flag pair shared by dcluesim and
+// dclueexp. Register the flags with AddProfiles, call Start after parsing,
+// and leave the command through Exit, which flushes the profiles (os.Exit
+// skips deferred calls).
+type Profiles struct {
+	cmd      string
+	cpu, mem string
+	stop     func() error
+}
+
+// AddProfiles registers the two profile flags on fs for the command cmd;
+// process names what the CPU profile covers in its usage string.
+func AddProfiles(fs *flag.FlagSet, cmd, process string) *Profiles {
+	p := &Profiles{cmd: cmd}
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a pprof CPU profile of the "+process+" process to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write a pprof heap profile to this file at exit")
+	return p
+}
+
+// Start begins the profiles the parsed flags ask for, or prints why it
+// cannot and exits 1.
+func (p *Profiles) Start() {
+	stop, err := StartProfiles(p.cpu, p.mem)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", p.cmd, err)
+		os.Exit(1)
+	}
+	p.stop = stop
+}
+
+// Exit flushes the profiles and exits with code. A flush failure is
+// printed and turns a zero code into 1.
+func (p *Profiles) Exit(code int) {
+	if err := p.stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", p.cmd, err)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
 }

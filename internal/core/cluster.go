@@ -136,11 +136,12 @@ type respTimes struct {
 }
 
 // New builds a cluster per the parameters. Run must be called to simulate.
-// It returns an error when the parameters are unusable — today that means a
-// fault schedule that does not parse or names an unknown target.
+// It returns Params.Validate's error, before building anything, when the
+// parameters are unusable.
 func New(p Params) (*Cluster, error) {
-	if p.Scale <= 0 {
-		panic("core: Params.Scale must be positive; start from DefaultParams")
+	sch, err := p.validate()
+	if err != nil {
+		return nil, err
 	}
 	s := sim.New()
 	c := &Cluster{P: p, Sim: s}
@@ -207,25 +208,11 @@ func New(p Params) (*Cluster, error) {
 		c.san = san
 	}
 
-	// Fault schedule: parse and validate before node construction, because a
-	// schedule with crash/restart events arms the recovery subsystem whose
-	// per-node hooks (gates, cluster-message handlers) are wired as each
-	// engine is attached.
-	var sch faults.Schedule
-	if p.FaultSpec != "" {
-		var err error
-		sch, err = faults.ParseSchedule(p.FaultSpec)
-		if err != nil {
-			return nil, err
-		}
-		// Resolve every target against the topology first: the error lists
-		// the valid names, which the injector's live registry cannot.
-		if err := sch.Validate(p.FaultTargets()); err != nil {
-			return nil, err
-		}
-		if sch.HasNodeLifecycle() {
-			c.rec = newRecState(c)
-		}
+	// A schedule with crash/restart events arms the recovery subsystem
+	// before node construction, because its per-node hooks (gates,
+	// cluster-message handlers) are wired as each engine is attached.
+	if sch.HasNodeLifecycle() {
+		c.rec = newRecState(c)
 	}
 
 	opCosts := p.opCosts()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"dclue/internal/sim"
@@ -92,6 +94,38 @@ func TestBadFaultSpecsRejectedAtConstruction(t *testing.T) {
 		if err == nil {
 			c.Sim.Shutdown()
 			t.Errorf("FaultSpec %q accepted, want construction error", spec)
+		}
+	}
+}
+
+// TestInvalidParamsRejectedAtConstruction: out-of-range fields come back
+// from New as errors naming the field, not as panics mid-setup or as runs
+// that print all-zero metrics. The rows are values dcluesim passes through
+// from its flags, plus the zero Scale New used to panic on.
+func TestInvalidParamsRejectedAtConstruction(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Params)
+	}{
+		{"Nodes", func(p *Params) { p.Nodes = 0 }},
+		{"Warmup", func(p *Params) { p.Warmup = -1 * sim.Second }},
+		{"RouterFwdRate", func(p *Params) { p.RouterFwdRate = 0 }},
+		{"Measure", func(p *Params) { p.Measure = -5 * sim.Second }},
+		{"Measure", func(p *Params) { p.Measure = sim.Time(math.NaN() * float64(sim.Second)) }},
+		{"Affinity", func(p *Params) { p.Affinity = 1.5 }},
+		{"Warehouses", func(p *Params) { p.Warehouses = -3 }},
+		{"Scale", func(p *Params) { p.Scale = 0 }},
+	} {
+		p := quickParams(2)
+		c.set(&p)
+		cl, err := New(p)
+		if err == nil {
+			cl.Sim.Shutdown()
+			t.Errorf("bad %s accepted, want construction error", c.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("bad %s: error %q does not name the field", c.field, err)
 		}
 	}
 }

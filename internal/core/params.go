@@ -162,9 +162,8 @@ type Params struct {
 	// Trace and Telemetry are observers: they never perturb the simulated
 	// trajectory or add calendar events, so an observed run's metrics
 	// outside Breakdown and UtilDecomp are bit-identical to a bare run's
-	// (Metrics.FingerprintModel is the regression hook). Both are process
-	// state, not configuration, so the JSON form of Params leaves them out.
-	Trace *trace.Collector `json:"-"`
+	// (Metrics.FingerprintModel is the regression hook).
+	Trace *trace.Collector
 
 	// Telemetry, when non-nil, enables the unified metrics registry
 	// (internal/telemetry): the run registers per-component utilization
@@ -172,7 +171,7 @@ type Params struct {
 	// queue occupancy, CPU thread/IRQ busy, per-spindle disk utilization,
 	// GCS message rates and lock waits, recovery phase timelines — and
 	// reports Metrics.UtilDecomp.
-	Telemetry *telemetry.Collector `json:"-"`
+	Telemetry *telemetry.Collector
 
 	// Label names this run in trace and telemetry exports; empty derives
 	// a label from the cluster size and offload mode.
@@ -282,18 +281,47 @@ func (p *Params) FaultTargets() faults.Targets {
 	return t
 }
 
-// ValidateFaultSpec parses FaultSpec and resolves every target against the
-// cluster topology, without building a cluster. CLIs call it before
-// simulation so a typo fails in milliseconds with the valid names listed.
-func (p *Params) ValidateFaultSpec() error {
+// Validate reports the first field New cannot build a cluster from: a
+// Scale, cluster size, affinity, warehouse count, router forwarding rate or
+// run window out of range, or a FaultSpec that does not parse or names a
+// target this topology lacks (the error lists the valid names). It builds
+// nothing, so CLIs call it before simulation and a bad value fails in
+// milliseconds.
+func (p *Params) Validate() error {
+	_, err := p.validate()
+	return err
+}
+
+// validate is Validate returning the parsed fault schedule for New to bind.
+// The negated range tests also reject NaN.
+func (p *Params) validate() (faults.Schedule, error) {
+	switch {
+	case !(p.Scale > 0):
+		return nil, fmt.Errorf("Params.Scale = %g: want a positive factor; start from DefaultParams", p.Scale)
+	case p.Nodes < 1:
+		return nil, fmt.Errorf("Params.Nodes = %d: want at least 1", p.Nodes)
+	case !(p.Affinity >= 0 && p.Affinity <= 1):
+		return nil, fmt.Errorf("Params.Affinity = %g: want a probability in [0, 1]", p.Affinity)
+	case p.Warehouses < 0:
+		return nil, fmt.Errorf("Params.Warehouses = %d: want 0 (sized from Nodes) or more", p.Warehouses)
+	case !(p.RouterFwdRate > 0):
+		return nil, fmt.Errorf("Params.RouterFwdRate = %g: want a positive packet rate", p.RouterFwdRate)
+	case p.Warmup < 0:
+		return nil, fmt.Errorf("Params.Warmup = %gs: want 0 or more", p.Warmup.Seconds())
+	case p.Measure <= 0:
+		return nil, fmt.Errorf("Params.Measure = %gs: want a positive window", p.Measure.Seconds())
+	}
 	if p.FaultSpec == "" {
-		return nil
+		return nil, nil
 	}
 	sch, err := faults.ParseSchedule(p.FaultSpec)
-	if err != nil {
-		return err
+	if err == nil {
+		err = sch.Validate(p.FaultTargets())
 	}
-	return sch.Validate(p.FaultTargets())
+	if err != nil {
+		return nil, fmt.Errorf("Params.FaultSpec: %w", err)
+	}
+	return sch, nil
 }
 
 // WarehouseCount applies the growth rule.

@@ -1,10 +1,6 @@
 package db
 
-import (
-	"sort"
-
-	"dclue/internal/sim"
-)
+import "sort"
 
 // This file holds the GCS side of crash recovery: fencing a dead node out
 // of the directory and lock tables, rebuilding mastering state from
@@ -30,15 +26,6 @@ func (g *GCS) SendCtl(to int, m Msg) { g.sendCtl(to, m) }
 
 // SendData ships a data message of the given wire size.
 func (g *GCS) SendData(to int, m Msg, size int) { g.sendData(to, m, size) }
-
-// NewRequest registers a pending request and returns its id and mailbox.
-func (g *GCS) NewRequest() (uint64, *sim.Mailbox) { return g.newReq() }
-
-// Wake completes a pending request (no-op for unknown ids).
-func (g *GCS) Wake(reqID uint64, v any) { g.wake(reqID, v) }
-
-// DropRequest abandons a pending request so a late reply is ignored.
-func (g *GCS) DropRequest(reqID uint64) { delete(g.pending, reqID) }
 
 // RedoBytes returns log volume written since the last checkpoint: the
 // amount a crash right now would force recovery to replay.

@@ -116,9 +116,6 @@ func (n *Node) CrashSnapshot() (dirty []BlockID, redoBytes int64) {
 	return dirty, n.GCS.RedoBytes()
 }
 
-// Costs exposes the node's cost table.
-func (n *Node) Costs() *OpCosts { return n.costs }
-
 // Begin starts a transaction attempt, charging initiation work.
 func (n *Node) Begin(p *sim.Proc) *Txn {
 	n.nextTxn++

@@ -173,14 +173,6 @@ func (c *Catalog) SetSurrogate(dead, via int) {
 // ClearSurrogate restores mastering to home (the node rejoined).
 func (c *Catalog) ClearSurrogate(dead int) { delete(c.surrogate, dead) }
 
-// Surrogate returns the active surrogate for home, or -1 if none.
-func (c *Catalog) Surrogate(home int) int {
-	if via, ok := c.surrogate[home]; ok {
-		return via
-	}
-	return -1
-}
-
 // Insert allocates a row for key from the given home node's extent and
 // returns the dense row id. Hashed-placement tables ignore home for
 // ownership (Home hashes the block) but still pack rows densely.

@@ -25,6 +25,7 @@ import (
 
 // Options control sweep sizes, run lengths and parallelism.
 type Options struct {
+	// Seed is every run's Params.Seed, 0 included.
 	Seed uint64
 	// Quick shrinks sweeps and run lengths so the full set finishes in
 	// minutes (used by the benchmark harness); the default is the paper's
@@ -226,9 +227,7 @@ func (o Options) grid(rows, cols int, fn func(r, c int)) {
 // baseParams returns the default cluster parameters adjusted for quick mode.
 func (o Options) baseParams(nodes int) core.Params {
 	p := core.DefaultParams(nodes)
-	if o.Seed != 0 {
-		p.Seed = o.Seed
-	}
+	p.Seed = o.Seed
 	if o.Quick {
 		p.Warmup = 50 * sim.Second
 		p.Measure = 100 * sim.Second

@@ -125,6 +125,10 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.baseParams(2).Seed != 42 {
 		t.Fatal("seed not applied")
 	}
+	o.Seed = 0
+	if o.baseParams(2).Seed != 0 {
+		t.Fatal("seed 0 not applied")
+	}
 }
 
 // TestFig2QuickShape runs the cheapest real figure end-to-end and checks
@@ -134,7 +138,7 @@ func TestFig2QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r := Fig2(Options{Quick: true, Seed: 1})
+	r := bareRun(t, "fig02", 1, false)
 	if len(r.Series) != 2 {
 		t.Fatalf("series %d", len(r.Series))
 	}

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dclue/internal/runner"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden figure fixtures under testdata/")
@@ -29,14 +27,14 @@ func TestGoldenFigures(t *testing.T) {
 	for _, id := range goldenFigures {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			f, ok := Lookup(id)
-			if !ok {
+			if _, ok := Lookup(id); !ok {
 				t.Fatalf("figure %q not registered", id)
 			}
-			// The pool exercises the parallel path; output is identical to
-			// sequential by the runner's ordered-merge contract (verified
-			// separately by the determinism tests).
-			got := f.Run(Options{Quick: true, Seed: 1, Pool: runner.New(4)}).Table()
+			// The shared Quick run uses a 4-worker pool, exercising the
+			// parallel path; output is identical to sequential by the
+			// runner's ordered-merge contract (verified separately by the
+			// determinism tests).
+			got := bareRun(t, id, 1, false).Table()
 			path := filepath.Join("testdata", id+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

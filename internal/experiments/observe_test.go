@@ -32,7 +32,7 @@ func checkFiguresNonPerturbing(t *testing.T, obs observerSet) {
 				t.Fatalf("figure %q not registered", id)
 			}
 			base := Options{Quick: true, Seed: 1, tinyRuns: true}
-			plain := f.Run(base)
+			plain := bareRun(t, id, 1, true)
 			for _, workers := range []int{1, 4} {
 				o := base
 				o.Pool = runner.New(workers)

@@ -29,7 +29,7 @@ func TestParallelDeterminismEveryFigure(t *testing.T) {
 				execs.Add(1)
 				return core.Run(p)
 			}
-			seq := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true})
+			seq := bareRun(t, f.ID, 1, true)
 			par := f.Run(Options{Quick: true, Seed: 1, tinyRuns: true, Pool: runner.New(4), Exec: exec})
 			if execs.Load() == 0 {
 				t.Error("no simulation point went through Options.Exec")

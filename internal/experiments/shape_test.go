@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"dclue/internal/runner"
 	"dclue/internal/stats"
 )
 
@@ -19,11 +18,9 @@ func TestIPCShapeInvariantsAcrossSeeds(t *testing.T) {
 		t.Skip("multi-run experiment")
 	}
 	for _, seed := range []uint64{1, 2, 3} {
-		o := Options{Quick: true, Seed: seed, Pool: runner.New(4)}
-		results := RunAll([]Figure{{ID: "fig02", Run: Fig2}, {ID: "fig03", Run: Fig3}}, o)
 		ctl := map[string][]stats.Point{
-			"fig02": results[0].Series[0].Points,
-			"fig03": results[1].Series[0].Points,
+			"fig02": bareRun(t, "fig02", seed, false).Series[0].Points,
+			"fig03": bareRun(t, "fig03", seed, false).Series[0].Points,
 		}
 		for name, pts := range ctl {
 			if len(pts) < 3 {

@@ -15,7 +15,7 @@ func TestUtilDecompFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r := UtilDecomposition(Options{Quick: true, Seed: 1, tinyRuns: true, Pool: runner.New(4)})
+	r := bareRun(t, "util-decomp", 1, true)
 	if !strings.Contains(r.Notes, "mismatches=0") {
 		t.Fatalf("attribution mismatches in notes: %q", r.Notes)
 	}

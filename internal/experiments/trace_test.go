@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"dclue/internal/runner"
 )
 
 // TestLatDecompPhaseSum regenerates the decomposition table and checks the
@@ -16,7 +14,7 @@ func TestLatDecompPhaseSum(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r := LatencyDecomposition(Options{Quick: true, Seed: 1, tinyRuns: true, Pool: runner.New(4)})
+	r := bareRun(t, "lat-decomp", 1, true)
 	i := strings.LastIndex(r.Notes, "= ")
 	if i < 0 {
 		t.Fatalf("no deviation note: %q", r.Notes)

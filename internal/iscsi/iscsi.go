@@ -81,9 +81,6 @@ func NewTarget(s *sim.Sim, cpu tcp.Processor, costs CostModel, drive func(table 
 	return &Target{sim: s, cpu: cpu, costs: costs, drive: drive}
 }
 
-// SetCosts swaps the cost model (offload experiments).
-func (t *Target) SetCosts(c CostModel) { t.costs = c }
-
 // Export additionally serves another node's drive enclosure through this
 // target (the dual-ported failover path: a buddy node takes over a crashed
 // peer's drives). pick selects the drive within that enclosure for a table.
@@ -188,9 +185,6 @@ func NewInitiator(s *sim.Sim, cpu tcp.Processor, costs CostModel) *Initiator {
 		pending: make(map[uint64]*sim.Mailbox),
 	}
 }
-
-// SetCosts swaps the cost model (offload experiments).
-func (i *Initiator) SetCosts(c CostModel) { i.costs = c }
 
 // SetConn registers the storage connection toward a target node and hooks
 // response handling.

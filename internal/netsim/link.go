@@ -22,10 +22,8 @@ type Link struct {
 	cur  *Packet // frame currently being serialized
 
 	// inflight holds frames that finished serialization and are propagating,
-	// oldest first. Arrival events pop from the front: the wire is FIFO, so
-	// this is exact as long as the propagation delay does not shrink while
-	// frames are in flight (SetPropagation is a setup-time knob; the model
-	// never changes it mid-run).
+	// oldest first. Arrival events pop from the front: the wire is FIFO and
+	// the propagation delay is fixed at construction, so this is exact.
 	inflight pktRing
 
 	// Prebuilt continuations, so serialization and arrival events do not
@@ -198,13 +196,6 @@ func (l *Link) SetCorrupt(p float64) { l.corruptP = p }
 
 // Down reports whether a link-down fault is active.
 func (l *Link) Down() bool { return l.down }
-
-// SetPropagation adjusts the one-way propagation delay (used by the latency
-// experiments, which stretch the inter-LATA links).
-func (l *Link) SetPropagation(d sim.Time) { l.prop = d }
-
-// Propagation returns the current one-way propagation delay.
-func (l *Link) Propagation() sim.Time { return l.prop }
 
 // BusyTime returns the accumulated wire time of completed serializations —
 // the exact integer total the telemetry layer's per-class attribution must

@@ -31,7 +31,6 @@ type Router struct {
 	// Statistics.
 	Forwarded uint64
 	FwdDrops  uint64
-	maxFwdQ   int
 }
 
 type port struct {
@@ -54,9 +53,6 @@ func NewRouter(n *Network, name string, fwdRate float64, latency sim.Time) *Rout
 	n.routers = append(n.routers, r)
 	return r
 }
-
-// SetForwardingRate changes the forwarding rate (pkt/s).
-func (r *Router) SetForwardingRate(pps float64) { r.fwdRate = pps }
 
 // AddPort attaches an output link to the router: packets routed to this
 // port are queued in a fresh Qdisc with cfg and drained onto a link of the
@@ -98,9 +94,6 @@ func (r *Router) receive(pkt *Packet) {
 		return
 	}
 	r.fwdQ.push(pkt)
-	if r.fwdQ.len() > r.maxFwdQ {
-		r.maxFwdQ = r.fwdQ.len()
-	}
 	r.pump()
 }
 
@@ -136,9 +129,6 @@ func (r *Router) forward(pkt *Packet) {
 	}
 	q.Enqueue(pkt)
 }
-
-// MaxForwardQueue returns the deepest forwarding backlog seen (packets).
-func (r *Router) MaxForwardQueue() int { return r.maxFwdQ }
 
 // Name returns the router's name ("inner" or "outer").
 func (r *Router) Name() string { return r.name }

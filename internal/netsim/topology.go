@@ -169,13 +169,3 @@ func (t *Topology) InterLataLinkPair(l int) (up, down *Link) {
 func (t *Topology) ClientLinks() (up, down *Link) {
 	return t.clientLinks[0], t.clientLinks[1]
 }
-
-// SetExtraInterLataLatency retargets the inter-LATA propagation delays at
-// runtime (half the extra per hop).
-func (t *Topology) SetExtraInterLataLatency(d sim.Time) {
-	t.Config.ExtraInterLataLatency = d
-	prop := t.Config.InterProp + d/2
-	for _, l := range t.interLataLinks {
-		l.SetPropagation(prop)
-	}
-}

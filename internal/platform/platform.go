@@ -119,8 +119,6 @@ type CPU struct {
 	// Statistics.
 	activeThreads stats.TimeWeighted
 	instrTotal    float64
-	busyCycleEst  float64
-	occupied      sim.Time
 	ctxSwitches   uint64
 	ctxCycles     float64
 	dispatches    uint64
@@ -362,7 +360,6 @@ func (c *CPU) runOn(p *sim.Proc, pathLen, extraCycles float64) {
 	c.dispatches++
 	c.res.Acquire(p, prioThread)
 	d := c.duration(pathLen) + sim.Time(c.slowFactor*extraCycles/c.cfg.ClockHz*float64(sim.Second))
-	c.occupied += d
 	if c.tel != nil {
 		c.tel.OnBusy(false, p.Now(), p.Now()+d)
 	}
@@ -370,7 +367,6 @@ func (c *CPU) runOn(p *sim.Proc, pathLen, extraCycles float64) {
 	c.res.Release()
 	c.instrSinceTick += pathLen
 	c.instrTotal += pathLen
-	c.busyCycleEst += pathLen*c.cachedCPI + extraCycles
 	c.activeThreads.Add(p.Now(), -1)
 	trace.Exit(p)
 }
@@ -425,7 +421,6 @@ func (svc *irqService) doGrant() {
 		return
 	}
 	d := c.duration(svc.task.pathLen)
-	c.occupied += d
 	if c.tel != nil {
 		now := c.sim.Now()
 		c.tel.OnBusy(true, now, now+d)
@@ -444,7 +439,6 @@ func (svc *irqService) doFinish() {
 	c.instrSinceTick += task.pathLen
 	c.instrTotal += task.pathLen
 	c.irqWork += task.pathLen
-	c.busyCycleEst += task.pathLen * c.cachedCPI
 	task.complete()
 	if c.dead {
 		svc.busy = false
@@ -475,13 +469,6 @@ func (c *CPU) MeanCtxSwitchCycles() float64 {
 	return c.ctxCycles / float64(c.ctxSwitches)
 }
 
-// BusyCycles returns the estimated cycles of work performed (instructions
-// at their charged CPI plus context-switch cycles).
-func (c *CPU) BusyCycles() float64 { return c.busyCycleEst }
-
-// OccupiedTime returns cumulative CPU service time granted.
-func (c *CPU) OccupiedTime() sim.Time { return c.occupied }
-
 // InstrTotal returns total instructions executed (threads + interrupts).
 func (c *CPU) InstrTotal() float64 { return c.instrTotal }
 
@@ -491,9 +478,7 @@ func (c *CPU) IRQInstr() float64 { return c.irqWork }
 // ResetStats clears accumulated statistics (after warm-up).
 func (c *CPU) ResetStats(now sim.Time) {
 	c.res.ResetUsage()
-	c.occupied = 0
 	c.instrTotal = 0
-	c.busyCycleEst = 0
 	c.ctxSwitches = 0
 	c.ctxCycles = 0
 	c.dispatches = 0

@@ -23,9 +23,6 @@ func NewMailbox(s *Sim) *Mailbox { return &Mailbox{sim: s} }
 // Len returns the number of queued (unconsumed) values.
 func (m *Mailbox) Len() int { return len(m.vals) }
 
-// Waiters returns the number of processes blocked in Recv.
-func (m *Mailbox) Waiters() int { return len(m.waiters) }
-
 // Send enqueues v and, if a receiver is waiting, schedules its wake-up at
 // the current time.
 func (m *Mailbox) Send(v any) {

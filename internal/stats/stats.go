@@ -5,7 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"dclue/internal/sim"
@@ -57,9 +56,6 @@ func (t *Tally) Var() float64 {
 	}
 	return v
 }
-
-// Std returns the population standard deviation.
-func (t *Tally) Std() float64 { return math.Sqrt(t.Var()) }
 
 // Min returns the smallest sample (0 if empty).
 func (t *Tally) Min() float64 {

@@ -197,9 +197,6 @@ func (s *Stack) Addr() netsim.Addr { return s.addr }
 // Domain returns the stack's domain.
 func (s *Stack) Domain() *Domain { return s.dom }
 
-// SetCosts replaces the stack's protocol cost model (offload experiments).
-func (s *Stack) SetCosts(c CostModel) { s.costs = c }
-
 // SetProcessor repoints protocol work at a new CPU complex; a restarted node
 // keeps its stack (peers hold its address) but boots fresh processors.
 func (s *Stack) SetProcessor(proc Processor) {

@@ -110,17 +110,6 @@ func (c *Collector) NewRegistry(label string) *Registry {
 	return r
 }
 
-// Registries returns every registry created so far, sorted by label so the
-// export order is independent of sweep scheduling.
-func (c *Collector) Registries() []*Registry {
-	c.mu.Lock()
-	out := make([]*Registry, len(c.regs))
-	copy(out, c.regs)
-	c.mu.Unlock()
-	sortRegistries(out)
-	return out
-}
-
 // Registry holds one run's instruments. Registration happens once at
 // cluster construction (under no concurrency); the hook methods on the
 // instruments it hands out are then called from the run's simulation
@@ -196,20 +185,11 @@ func (r *Registry) RecordPhase(component, phase string, start, end sim.Time) {
 // Links returns the link instruments in registration order.
 func (r *Registry) Links() []*LinkTel { return r.links }
 
-// Queues returns the queue instruments in registration order.
-func (r *Registry) Queues() []*QueueTel { return r.queues }
-
 // CPUs returns the CPU instruments in registration order.
 func (r *Registry) CPUs() []*CPUTel { return r.cpus }
 
-// Disks returns the disk instruments in registration order.
-func (r *Registry) Disks() []*DiskTel { return r.disks }
-
 // GCS returns the GCS instruments in registration order.
 func (r *Registry) GCS() []*GCSTel { return r.gcs }
-
-// Phases returns the recorded phase intervals in record order.
-func (r *Registry) Phases() []PhaseEvent { return r.phases }
 
 // LinkTel attributes a link's wire time to traffic classes. OnTransmit is
 // fed the exact integer busy slice the link itself accounts, so

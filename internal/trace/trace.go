@@ -200,9 +200,6 @@ type Event struct {
 	Dur    sim.Time
 }
 
-// PID returns the run's export process id.
-func (r *Run) PID() int { return r.pid }
-
 // Label returns the run label given at creation.
 func (r *Run) Label() string { return r.label }
 
@@ -226,9 +223,6 @@ func (r *Run) StartSpan(now sim.Time, tid int) *Span {
 
 // PhaseMeanMs returns the mean self time of a phase across sampled spans.
 func (r *Run) PhaseMeanMs(ph Phase) float64 { return r.phase[ph].Mean() }
-
-// PhaseQuantileMs returns an approximate per-phase quantile (ms).
-func (r *Run) PhaseQuantileMs(ph Phase, q float64) float64 { return r.phase[ph].Quantile(q) }
 
 // TotalMeanMs returns the mean client-observed span duration (ms).
 func (r *Run) TotalMeanMs() float64 { return r.total.Mean() }
