@@ -55,18 +55,23 @@ func globalRandExempt(pkgPath string) bool {
 		strings.HasPrefix(pkgPath, "dclue/internal/lint")
 }
 
-// concurrencyExempt: internal/sim owns the coroutine kernel and
-// internal/runner owns the work-stealing sweep pool; all other model code
-// must be single-threaded from the kernel's point of view.
+// concurrencyExempt: internal/runner owns the work-stealing sweep pool; all
+// other code, the kernel included, must be single-threaded from the
+// kernel's point of view.
 func concurrencyExempt(pkgPath string) bool {
-	return pkgPath == "dclue/internal/sim" ||
-		pkgPath == "dclue/internal/runner" ||
+	return pkgPath == "dclue/internal/runner" ||
 		strings.HasPrefix(pkgPath, "dclue/internal/lint")
+}
+
+// coroutineKernel: internal/sim runs processes as iter.Pull coroutines; no
+// other package may build one.
+func coroutineKernel(pkgPath string) bool {
+	return pkgPath == "dclue/internal/sim"
 }
 
 // continuationOnly lists the hot-path packages rebuilt as continuation
 // (callback) actors: they run at per-packet/per-segment event rates where a
-// sim.Proc wake that crosses goroutines costs a real goroutine switch, so
+// sim.Proc wake that crosses processes costs a coroutine hand-off, so
 // reintroducing Proc or Mailbox there would silently undo the kernel
 // speedup. The bare "continuation" path is the lint fixture standing in for
 // a real hot-path package (fixture packages have bare import paths).

@@ -72,7 +72,7 @@ func TestPolicyExemptions(t *testing.T) {
 		{"simtime", "dclue/internal/sim", false},
 		{"simrand", "dclue/internal/rng", true},
 		{"simrand", "dclue/internal/tpcc", false},
-		{"goroutine", "dclue/internal/sim", true},
+		{"goroutine", "dclue/internal/sim", false},
 		{"goroutine", "dclue/internal/runner", true},
 		{"goroutine", "dclue/internal/cliutil", false},
 		{"goroutine", "dclue/internal/trace", false},

@@ -6,28 +6,31 @@ import (
 	"dclue/internal/lint/analysis"
 )
 
-// Goroutine confines real concurrency to the two packages built for it:
-// internal/sim (the coroutine kernel — one runnable goroutine at a time by
-// construction) and internal/runner (the work-stealing sweep pool, whose
-// merge step restores point order). A `go` statement, channel, or
-// sync.WaitGroup anywhere else introduces scheduling nondeterminism the
-// kernel cannot serialize, which the byte-identical-sweep regression would
-// only catch after the fact. sync.Mutex stays legal everywhere: mutual
-// exclusion protects shared state without creating concurrency. Test files
-// are exempt — the test harness may spawn helpers; model code may not.
+// Goroutine confines real concurrency to the one package built for it:
+// internal/runner (the work-stealing sweep pool, whose merge step restores
+// point order). A `go` statement, channel, or sync.WaitGroup anywhere else
+// introduces scheduling nondeterminism the kernel cannot serialize, which
+// the byte-identical-sweep regression would only catch after the fact. The
+// kernel, internal/sim, needs none of them: its processes are iter.Pull
+// coroutines, resumed one at a time. iter.Pull and iter.Pull2 are flagged
+// everywhere else, since a coroutine that model code builds itself bypasses
+// Kill, Sim.Switches and the deadlock watchdog. sync.Mutex stays legal
+// everywhere: mutual exclusion protects shared state without creating
+// concurrency. Test files are exempt — the test harness may spawn helpers;
+// model code may not.
 //
 // The analyzer also knows the continuation actor style: packages on the
 // continuation-only list (see continuationOnly) are per-packet hot paths
 // that were deliberately rebuilt as callback state machines, where a
-// goroutine-backed sim.Proc would put a real goroutine switch on every wake
-// that crosses goroutines.
-// There it additionally flags the goroutine-backed kernel primitives —
+// coroutine-backed sim.Proc would put a coroutine hand-off on every wake
+// that crosses processes.
+// There it additionally flags the process-backed kernel primitives —
 // naming the sim.Proc or sim.Mailbox types, or calling sim.NewMailbox —
 // since any use of the process API has to name one of them. Pure callback
 // scheduling (sim.After/At, EventID) stays legal everywhere.
 var Goroutine = &analysis.Analyzer{
 	Name: "goroutine",
-	Doc:  "forbid go statements, channels, and sync.WaitGroup outside internal/sim and internal/runner; forbid goroutine-backed sim primitives in continuation-only packages",
+	Doc:  "forbid go statements, channels, and sync.WaitGroup outside internal/runner, and iter.Pull outside internal/sim; forbid process-backed sim primitives in continuation-only packages",
 	Run:  runGoroutine,
 }
 
@@ -36,6 +39,7 @@ func runGoroutine(pass *analysis.Pass) error {
 		return nil
 	}
 	contOnly := continuationOnly(pass.PkgPath)
+	kernel := coroutineKernel(pass.PkgPath)
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
@@ -43,9 +47,9 @@ func runGoroutine(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "goroutine spawned outside the sanctioned concurrency packages (internal/sim, internal/runner): model code must run single-threaded under the sim kernel")
+				pass.Reportf(n.Pos(), "goroutine spawned outside the sanctioned concurrency packages (internal/runner, the lint tooling): model code must run single-threaded under the sim kernel")
 			case *ast.ChanType:
-				pass.Reportf(n.Pos(), "channel type outside the sanctioned concurrency packages (internal/sim, internal/runner): use sim.Mailbox for model-level message passing")
+				pass.Reportf(n.Pos(), "channel type outside the sanctioned concurrency packages (internal/runner, the lint tooling): use sim.Mailbox for model-level message passing")
 				return false // one report per channel type, not per nesting
 			case *ast.SelectorExpr:
 				id, ok := n.X.(*ast.Ident)
@@ -55,14 +59,21 @@ func runGoroutine(pass *analysis.Pass) error {
 				switch n.Sel.Name {
 				case "WaitGroup":
 					if path, isPkg := pass.PkgNameOf(f, id); isPkg && path == "sync" {
-						pass.Reportf(n.Pos(), "sync.WaitGroup outside the sanctioned concurrency packages (internal/sim, internal/runner)")
+						pass.Reportf(n.Pos(), "sync.WaitGroup outside the sanctioned concurrency packages (internal/runner, the lint tooling)")
+					}
+				case "Pull", "Pull2":
+					if kernel {
+						return true
+					}
+					if path, isPkg := pass.PkgNameOf(f, id); isPkg && path == "iter" {
+						pass.Reportf(n.Pos(), "iter.%s outside internal/sim: a coroutine built by model code bypasses Kill, Sim.Switches and the deadlock watchdog; block in a sim.Proc instead", n.Sel.Name)
 					}
 				case "Proc", "Mailbox", "NewMailbox":
 					if !contOnly {
 						return true
 					}
 					if path, isPkg := pass.PkgNameOf(f, id); isPkg && isSimImport(path) {
-						pass.Reportf(n.Pos(), "sim.%s in a continuation-only package: this hot path runs as callback state machines; goroutine-backed processes would reintroduce goroutine switches on a per-event path", n.Sel.Name)
+						pass.Reportf(n.Pos(), "sim.%s in a continuation-only package: this hot path runs as callback state machines; processes would put coroutine hand-offs on a per-event path", n.Sel.Name)
 					}
 				}
 			}

@@ -1,7 +1,11 @@
-// Fixture for the goroutine analyzer: concurrency outside sim/runner.
+// Fixture for the goroutine analyzer: concurrency outside runner, and
+// coroutines outside sim.
 package goroutine
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
 func spawn(work func()) {
 	go work() // want `goroutine spawned outside the sanctioned concurrency packages`
@@ -37,4 +41,32 @@ func (g *guarded) bump() {
 func suppressed(work func()) {
 	//lint:allow goroutine fixture demonstrates a justified suppression
 	go work()
+}
+
+// A coroutine built outside the kernel escapes Kill, Switches and the
+// deadlock watchdog.
+func first(seq iter.Seq[int]) int {
+	next, stop := iter.Pull(seq) // want `iter\.Pull outside internal/sim`
+	defer stop()
+	v, _ := next()
+	return v
+}
+
+func firstPair(seq iter.Seq2[int, int]) {
+	_, stop := iter.Pull2(seq) // want `iter\.Pull2 outside internal/sim`
+	stop()
+}
+
+// Ranging over a sequence makes no coroutine: no diagnostic.
+func sum(seq iter.Seq[int]) (n int) {
+	for v := range seq {
+		n += v
+	}
+	return n
+}
+
+func suppressedPull(seq iter.Seq[int]) {
+	//lint:allow goroutine fixture demonstrates a justified suppression
+	_, stop := iter.Pull(seq)
+	stop()
 }

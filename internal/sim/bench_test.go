@@ -72,7 +72,7 @@ func BenchmarkCancel(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures one process step on the no-switch resume
-// path: a lone sleeper's own goroutine runs the calendar, so its wake is a
+// path: a lone sleeper's own coroutine runs the calendar, so its wake is a
 // plain return from park. Compare against the continuation path above.
 func BenchmarkProcSwitch(b *testing.B) {
 	s := New()
@@ -87,10 +87,11 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportMetric(float64(s.Switches())/float64(b.N), "switches/op")
 }
 
-// BenchmarkProcHandOff measures a wake that crosses goroutines: two
+// BenchmarkProcHandOff measures a wake that crosses processes: two
 // processes sleep in alternation (one at odd instants, one at even), so
-// every wake hands the calendar to the other process's goroutine — one real
-// goroutine switch per step.
+// every wake hands the calendar to the other process's coroutine — one
+// hand-off per step, which yields to the Run caller and resumes the other
+// coroutine from there (two coroutine switches, no goroutine scheduling).
 func BenchmarkProcHandOff(b *testing.B) {
 	s := New()
 	for i := 0; i < 2; i++ {

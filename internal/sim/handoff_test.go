@@ -1,9 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-// TestSwitchesLoneSleeper: a lone process's own goroutine runs the calendar
-// while it sleeps, so its wakes cost no goroutine switch. The only
+// TestSwitchesLoneSleeper: a lone process's own coroutine runs the calendar
+// while it sleeps, so its wakes cost no switch. The only
 // hand-offs are its start and the calendar's return to the Run caller.
 func TestSwitchesLoneSleeper(t *testing.T) {
 	s := New()
@@ -24,7 +27,7 @@ func TestSwitchesLoneSleeper(t *testing.T) {
 }
 
 // TestSwitchesPingPong: two processes that wake each other in turn pay
-// exactly one goroutine switch per wake.
+// exactly one hand-off per wake.
 func TestSwitchesPingPong(t *testing.T) {
 	s := New()
 	ping, pong := NewMailbox(s), NewMailbox(s)
@@ -59,8 +62,8 @@ func TestSwitchesPingPong(t *testing.T) {
 }
 
 // TestCallbackPanicOnProcGoroutine: an event callback that panics while a
-// parked process's goroutine runs the calendar surfaces from Run on the
-// caller's goroutine, and the simulation stays usable.
+// parked process's coroutine runs the calendar surfaces from Run, and the
+// simulation stays usable.
 func TestCallbackPanicOnProcGoroutine(t *testing.T) {
 	s := New()
 	sleeper := s.Spawn("sleeper", func(p *Proc) { p.Sleep(10) })
@@ -90,9 +93,9 @@ func TestCallbackPanicOnProcGoroutine(t *testing.T) {
 }
 
 // TestKillFromVictimsOwnGoroutine: a callback running on the victim's own
-// goroutine kills it. The victim is Done and off LiveProcs at once; its
-// goroutine unwinds (running its defers) when it passes the calendar on and
-// before any other goroutine runs; later events still fire.
+// coroutine kills it. The victim is Done and off LiveProcs at once; its
+// coroutine unwinds (running its defers) when it passes the calendar on and
+// before any other coroutine runs; later events still fire.
 func TestKillFromVictimsOwnGoroutine(t *testing.T) {
 	s := New()
 	cleaned, reached := false, false
@@ -140,7 +143,7 @@ func TestKillFromVictimsOwnGoroutine(t *testing.T) {
 }
 
 // TestKillParkedElsewhereUnwindsAtOnce: killing a process parked on a
-// goroutine other than the one running the callback unwinds it inside Kill.
+// coroutine other than the one running the callback unwinds it inside Kill.
 func TestKillParkedElsewhereUnwindsAtOnce(t *testing.T) {
 	s := New()
 	cleaned := false
@@ -171,7 +174,7 @@ func TestKillParkedElsewhereUnwindsAtOnce(t *testing.T) {
 }
 
 // TestProcReturnStartsSpawnedChild: a process that spawns a child and
-// returns exits by starting the child's goroutine.
+// returns hands the calendar to the child, whose coroutine starts.
 func TestProcReturnStartsSpawnedChild(t *testing.T) {
 	s := New()
 	var order []string
@@ -196,5 +199,60 @@ func TestProcReturnStartsSpawnedChild(t *testing.T) {
 	// Parent start, parent → child as the parent exits, return to the caller.
 	if got := s.Switches(); got != 3 {
 		t.Fatalf("switches = %d, want 3", got)
+	}
+}
+
+// TestProcPanicSurfacesFromRun: a panic in process code reaches the Run
+// caller through the coroutine's next(), naming the process and the time.
+// The process is dead, and the simulation stays usable.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	s := New()
+	s.Spawn("buggy", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	bystander := s.Spawn("bystander", func(p *Proc) { p.Sleep(10) })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.RunAll()
+		return nil
+	}()
+	msg, _ := got.(string)
+	if want := `sim: process "buggy" panicked at 5ns: boom`; msg != want {
+		t.Fatalf("Run caller recovered %v, want %q", got, want)
+	}
+	if s.LiveProcs() != 1 {
+		t.Fatalf("LiveProcs = %d after the panic, want 1 (the bystander)", s.LiveProcs())
+	}
+	s.RunAll()
+	if !bystander.Done() || s.Now() != 10 {
+		t.Fatalf("bystander done=%v at %v, want done at 10ns", bystander.Done(), s.Now())
+	}
+}
+
+// TestShutdownReleasesCoroutines: every process coroutine, parked or
+// finished, is gone after Shutdown, so a run leaks no goroutine. The count
+// before New may still include an earlier test's exiting goroutine, so the
+// checks allow the count to fall but never to rise.
+func TestShutdownReleasesCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	mb := NewMailbox(s)
+	const parked = 50
+	for i := 0; i < parked; i++ {
+		s.Spawn("waiter", func(p *Proc) { mb.Recv(p) })
+	}
+	s.Spawn("finisher", func(p *Proc) { p.Sleep(1) })
+	s.RunAll()
+	s.Spawn("never-started", func(p *Proc) {})
+	during := runtime.NumGoroutine()
+	s.Shutdown()
+	after := runtime.NumGoroutine()
+	if after > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before New", after, before)
+	}
+	if during-after < parked {
+		t.Fatalf("Shutdown of %d parked processes released only %d goroutines (%d → %d)",
+			parked, during-after, during, after)
 	}
 }

@@ -52,12 +52,12 @@ type Sim struct {
 	procs   map[*Proc]struct{}
 	procSeq uint64 // next spawn-order number
 	current *Proc  // process whose code is running; nil in kernel context
-	caller  *Proc  // stands for the Run caller's goroutine; never spawned
-	host    *Proc  // owner of the goroutine that holds the calendar
-	next    *Proc  // goroutine the calendar passes to when the event returns
-	failure any    // callback panic caught off the caller's goroutine, rethrown by Run
+	caller  *Proc  // stands for the Run caller; never spawned
+	host    *Proc  // owner of the coroutine that holds the calendar
+	next    *Proc  // process the calendar passes to when the event returns
+	failure any    // callback panic caught on a process coroutine, rethrown by Run
 
-	// nEvents counts executed events and switches goroutine hand-offs,
+	// nEvents counts executed events and switches coroutine hand-offs,
 	// for diagnostics.
 	nEvents  uint64
 	switches uint64
@@ -69,9 +69,7 @@ type Sim struct {
 
 // New returns an empty simulation positioned at time zero.
 func New() *Sim {
-	// The caller's channel is made here, never lazily: a lazily made one
-	// could race with the first process goroutine handing the calendar back.
-	caller := &Proc{name: "run caller", resume: make(chan struct{})}
+	caller := &Proc{name: "run caller"}
 	return &Sim{procs: make(map[*Proc]struct{}), free: noSlot, caller: caller, host: caller}
 }
 
@@ -306,8 +304,9 @@ func (s *Sim) BlockedProcs() []string {
 // Run executes events in time order until the calendar is empty, the
 // horizon is passed, or Stop is called. It returns the time of the last
 // executed event (or the horizon if it was reached). Run must not be called
-// from inside a process. A panic in an event callback surfaces from Run on
-// the caller's goroutine, whichever goroutine ran the callback.
+// from inside a process. A panic in an event callback surfaces from Run,
+// whichever coroutine ran the callback, and so does a panic in process code,
+// naming the process.
 func (s *Sim) Run(horizon Time) Time {
 	return s.run(horizon, true)
 }
@@ -349,13 +348,13 @@ func (s *Sim) run(horizon Time, advance bool) Time {
 	return s.now
 }
 
-// drive runs the calendar on the calling goroutine, which belongs to self
+// drive runs the calendar on the calling coroutine, which belongs to self
 // (s.caller on the Run caller's goroutine). It returns once self is to
 // resume: woken or killed, or for s.caller, the run is over. If the event
-// that ends a step names another goroutine, drive hands the calendar to it
+// that ends a step names another process, drive hands the calendar to it
 // and waits for its own turn. A dead self (a finished or killed process
-// whose goroutine still holds the calendar) returns instead, leaving s.next
-// set for the dying goroutine to pass on.
+// whose coroutine still holds the calendar) returns instead, leaving s.next
+// set for the dying coroutine to pass on.
 func (s *Sim) drive(self *Proc) {
 	if self != s.caller {
 		defer s.catch(self)
@@ -389,7 +388,7 @@ func (s *Sim) drive(self *Proc) {
 	}
 }
 
-// catch recovers a panic raised by an event callback on a process goroutine
+// catch recovers a panic raised by an event callback on a process coroutine
 // and hands it, with the calendar, to the Run caller, which rethrows it. A
 // live self then waits here for its turn, as drive would have.
 func (s *Sim) catch(self *Proc) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -130,6 +131,8 @@ func TestTimeString(t *testing.T) {
 		{1500, "1.500us"},
 		{2 * Millisecond, "2.000ms"},
 		{3 * Second, "3.000000s"},
+		{-1500, "-1.500us"},
+		{Time(math.MinInt64), "-9223372036.854776s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -9,27 +12,29 @@ import (
 // own code, running its deferred functions.
 type killPanic struct{}
 
-// Proc is a simulated process: a Go function running on its own goroutine.
-// Exactly one goroutine runs at any instant, so process code needs no
-// locking and the simulation stays deterministic.
+// Proc is a simulated process: a Go function running as an iter.Pull
+// coroutine. Exactly one coroutine runs at any instant, so process code
+// needs no locking and the simulation stays deterministic.
 //
-// The calendar travels with the running goroutine. A process that blocks
-// does not hand control back to the Run caller: its goroutine goes on firing
+// The calendar travels with the running coroutine. A process that blocks
+// does not hand control back to the Run caller: its coroutine goes on firing
 // events itself until one of them wakes some process. Waking the process
-// that owns that goroutine is a plain return from the block (no goroutine
-// switch); waking any other process hands the calendar straight to that
-// process's goroutine (one switch). The Run caller is handed the calendar
-// back only when the run ends. Sim.Switches counts the hand-offs.
+// that owns that coroutine is a plain return from the block (no switch);
+// waking any other process yields to the Run caller, which resumes the woken
+// process's coroutine (one hand-off). The Run caller keeps the calendar for
+// itself only when the run ends. Sim.Switches counts the hand-offs.
 //
 // All Proc methods must be called from the process's own function.
 type Proc struct {
 	sim     *Sim
 	name    string
-	seq     uint64      // spawn order; fixes iteration order over proc sets
-	fn      func(*Proc) // body awaiting its goroutine; nil once that goroutine exists
-	resume  chan struct{}
-	val     any  // value delivered by the pending wake
-	started bool // start event has fired
+	seq     uint64                  // spawn order; fixes iteration order over proc sets
+	fn      func(*Proc)             // the process function
+	next    func() (struct{}, bool) // resumes the coroutine; made by the start event
+	stop    func()                  // unwinds the coroutine parked in yield
+	yield   func(struct{}) bool     // suspends the coroutine, back to its resumer
+	val     any                     // value delivered by the pending wake
+	started bool                    // start event has fired
 	done    bool
 	span    any
 	wakeFn  func() // prebuilt wake(nil) continuation, so Sleep never allocates
@@ -65,7 +70,7 @@ func (p *Proc) Span() any { return p.span }
 // current simulated time. fn runs until it returns, blocks on a kernel
 // primitive, or the process is killed.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, seq: s.procSeq, fn: fn, resume: make(chan struct{})}
+	p := &Proc{sim: s, name: name, seq: s.procSeq, fn: fn}
 	p.wakeFn = func() { p.wake(nil) }
 	s.procSeq++
 	s.procs[p] = struct{}{}
@@ -73,27 +78,33 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// start is the process's start event: when it returns, the calendar passes
-// to a fresh goroutine running the process function.
+// start is the process's start event: it makes the process's coroutine, and
+// when the event returns the calendar passes to it. The coroutine's first
+// next() runs the process function.
 func (p *Proc) start() {
 	if p.done {
 		return // killed before its start event fired
 	}
 	p.started = true
+	p.next, p.stop = iter.Pull(p.body)
 	p.sim.next = p
 }
 
-// body runs on the process's own goroutine. When fn returns or the process
-// is killed, the goroutine still holds the calendar: it fires events until
-// the calendar must go to another goroutine, passes it on and exits. The
-// tail runs deferred so that runtime.Goexit in process code (a test's
-// t.FailNow) also passes the calendar on.
-func (p *Proc) body(fn func(*Proc)) {
+// body is the process's coroutine. When fn returns or the process is killed,
+// the coroutine still holds the calendar: it fires events until the calendar
+// must go to another process, then returns, handing control back to its
+// resumer. The tail is deferred: a killed process reaches it by unwinding.
+func (p *Proc) body(yield func(struct{}) bool) {
 	s := p.sim
+	p.yield = yield
 	defer func() {
 		r := recover()
 		if _, killed := r.(killPanic); r != nil && !killed {
-			// A real model bug: crash loudly with context.
+			// A real model bug: it reaches the Run caller through next(),
+			// with context. The process is dead; the calendar goes back to
+			// the Run caller with it.
+			p.finish()
+			s.current, s.host = nil, s.caller
 			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.name, s.now, r))
 		}
 		if !p.done {
@@ -101,10 +112,10 @@ func (p *Proc) body(fn func(*Proc)) {
 		}
 		s.current = nil
 		s.drive(p)
-		s.pass()
+		s.switches++
 	}()
 	s.current = p
-	fn(p)
+	p.fn(p)
 }
 
 // finish marks the process done and drops it from the live set.
@@ -113,32 +124,27 @@ func (p *Proc) finish() {
 	delete(p.sim.procs, p)
 }
 
-// handOff passes the calendar on and blocks until self's goroutine is
-// handed it back.
+// handOff passes the calendar to s.next and returns once self is handed it
+// back. A process yields to the Run caller. The Run caller is the
+// trampoline: it resumes one coroutine after another, each running until it
+// yields or returns, until the calendar comes back to the Run caller.
 func (s *Sim) handOff(self *Proc) {
-	s.pass()
-	<-self.resume
-}
-
-// pass hands the calendar to the goroutine of s.next, starting that
-// goroutine if its process has none yet. It does not wait: the calling
-// goroutine must touch nothing afterwards but its own resume channel, or
-// exit.
-func (s *Sim) pass() {
-	to := s.next
-	s.next = nil
-	s.host = to
 	s.switches++
-	if fn := to.fn; fn != nil {
-		to.fn = nil
-		go to.body(fn)
+	if self != s.caller {
+		self.yield(struct{}{})
 		return
 	}
-	to.resume <- struct{}{}
+	for to := s.next; to != s.caller; to = s.next {
+		s.next = nil
+		s.host = to
+		to.next()
+	}
+	s.next = nil
+	s.host = s.caller
 }
 
 // park blocks the process until some event calls wake, and returns the value
-// passed to wake. Meanwhile the process's goroutine runs the calendar.
+// passed to wake. Meanwhile the process's coroutine runs the calendar.
 func (p *Proc) park() any {
 	s := p.sim
 	if s.current != p {
@@ -158,7 +164,7 @@ func (p *Proc) park() any {
 // wake resumes a parked process, handing it val. It must be called from
 // kernel context (inside an event, never from another process) and must be
 // the last action of its event: it only names the process to run next, and
-// the hand-off to that process's goroutine happens when the event returns.
+// the hand-off to that process's coroutine happens when the event returns.
 // Primitives ensure this by scheduling each wake as an event of its own
 // (Sleep's wakeFn, the closures in Resource.Release and Mailbox.dispatch,
 // the mailbox timer).
@@ -202,11 +208,13 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // scheduled and have not finished.
 func (s *Sim) LiveProcs() int { return len(s.procs) }
 
-// Switches returns the number of goroutine hand-offs so far: one per process
-// start, per wake of a process other than the one whose goroutine runs the
+// Switches returns the number of coroutine hand-offs so far: one per process
+// start, per wake of a process other than the one whose coroutine runs the
 // calendar, and per return of the calendar to the Run caller; two per Kill
-// of a process parked on another goroutine. It depends only on the event
-// sequence, so it repeats exactly for a given seed.
+// of a process parked on a coroutine of its own. A hand-off between two
+// processes passes through the Run caller's trampoline and counts once. The
+// count depends only on the event sequence, so it repeats exactly for a
+// given seed.
 func (s *Sim) Switches() uint64 { return s.switches }
 
 // Shutdown kills every live process in spawn order, as Kill does. It must
@@ -239,12 +247,12 @@ func (s *Sim) Shutdown() {
 // fault-activation events.
 //
 // The victim is Done and off LiveProcs at once. When it is parked on a
-// goroutine of its own, that goroutine unwinds now, running the victim's
-// deferred functions, and hands the calendar straight back. When the
-// callback calling Kill runs on the victim's own goroutine (the victim is
-// parked, but its goroutine is running the calendar), the goroutine unwinds
-// later: when it next passes the calendar on, and before any other goroutine
-// runs.
+// coroutine of its own, Kill calls the coroutine's stop: the victim unwinds
+// now, running its deferred functions, and control comes straight back.
+// When the callback calling Kill runs on the victim's own coroutine (the
+// victim is parked, but its coroutine is running the calendar), the
+// coroutine unwinds later: when it next passes the calendar on, and before
+// any other coroutine runs.
 func (s *Sim) Kill(p *Proc) {
 	if s.current != nil {
 		panic("sim: Kill called from inside a process")
@@ -257,9 +265,9 @@ func (s *Sim) Kill(p *Proc) {
 		return
 	}
 	self := s.host
-	s.next = self // the victim hands the calendar straight back once unwound
+	s.next = self // the victim's coroutine must not run the calendar as it unwinds
 	s.host = p
 	s.switches++
-	p.resume <- struct{}{}
-	<-self.resume
+	p.stop()
+	s.next, s.host = nil, self
 }

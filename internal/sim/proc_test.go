@@ -352,9 +352,9 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 }
 
 func TestProcPanicPropagates(t *testing.T) {
-	// A model panic inside a process should crash with context; we can't
-	// catch a panic on another goroutine, so this test only checks the
-	// killPanic pathway doesn't mask completion bookkeeping.
+	// A model panic inside a process surfaces from Run with context (see
+	// TestProcPanicSurfacesFromRun); this test checks that the killPanic
+	// pathway doesn't mask completion bookkeeping.
 	s := New()
 	done := false
 	s.Spawn("ok", func(p *Proc) { done = true })

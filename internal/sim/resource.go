@@ -19,7 +19,7 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p       *Proc  // goroutine-backed waiter, or
+	p       *Proc  // process waiter, or
 	fn      func() // continuation waiter (callback actors; see AcquireFunc)
 	prio    int
 	arrived Time

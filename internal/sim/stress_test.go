@@ -216,7 +216,7 @@ func TestManyProcsScale(t *testing.T) {
 // TestStressHandOff drives every hand-off path at random: processes spawn
 // children and contend on a resource and a mailbox, deferred functions run
 // on unwinding, and callbacks kill processes — sometimes the one whose
-// goroutine is running the callback, sometimes one parked elsewhere. Two
+// coroutine is running the callback, sometimes one parked elsewhere. Two
 // runs of a seed must give the same trace, event count and Switches().
 func TestStressHandOff(t *testing.T) {
 	var hostKills, otherKills int
@@ -274,7 +274,7 @@ func TestStressHandOff(t *testing.T) {
 			if len(live) > 0 {
 				i := next(len(live))
 				if next(2) == 0 {
-					// Prefer the process whose goroutine runs this callback.
+					// Prefer the process whose coroutine runs this callback.
 					for j, p := range live {
 						if p == s.host {
 							i = j

@@ -1,12 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel has two layers. The lower layer is a classic event calendar: a
-// binary heap of (time, sequence, callback) entries executed in order by
+// 4-ary heap of (time, sequence, callback) entries executed in order by
 // Run. The upper layer provides lightweight simulated processes: ordinary
-// Go functions that run on their own goroutine but under strict hand-off,
-// so exactly one goroutine (the kernel or a single process) is ever running.
-// This keeps simulations fully deterministic while letting model code be
-// written in a natural blocking style (Sleep, Wait, Acquire, ...).
+// Go functions that run as iter.Pull coroutines under strict hand-off, so
+// exactly one of them (or the Run caller) is ever running. This keeps
+// simulations fully deterministic while letting model code be written in a
+// natural blocking style (Sleep, Wait, Acquire, ...).
 package sim
 
 import "fmt"
@@ -38,16 +38,23 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
+	if t < 0 {
+		// Negate in uint64: -t overflows for math.MinInt64.
+		return "-" + formatNanos(-uint64(t))
+	}
+	return formatNanos(uint64(t))
+}
+
+// formatNanos formats a magnitude of n nanoseconds with an adaptive unit.
+func formatNanos(n uint64) string {
 	switch {
-	case t < 0:
-		return fmt.Sprintf("-%v", -t)
-	case t < Microsecond:
-		return fmt.Sprintf("%dns", int64(t))
-	case t < Millisecond:
-		return fmt.Sprintf("%.3fus", t.Micros())
-	case t < Second:
-		return fmt.Sprintf("%.3fms", t.Millis())
+	case n < uint64(Microsecond):
+		return fmt.Sprintf("%dns", n)
+	case n < uint64(Millisecond):
+		return fmt.Sprintf("%.3fus", float64(n)/float64(Microsecond))
+	case n < uint64(Second):
+		return fmt.Sprintf("%.3fms", float64(n)/float64(Millisecond))
 	default:
-		return fmt.Sprintf("%.6fs", t.Seconds())
+		return fmt.Sprintf("%.6fs", float64(n)/float64(Second))
 	}
 }
