@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -230,29 +231,159 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
-// TestShutdownReleasesCoroutines: every process coroutine, parked or
-// finished, is gone after Shutdown, so a run leaks no goroutine. The count
-// before New may still include an earlier test's exiting goroutine, so the
-// checks allow the count to fall but never to rise.
-func TestShutdownReleasesCoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	s := New()
-	mb := NewMailbox(s)
+// TestCoroutinesReused: a finished or killed process leaves its coroutine
+// idle in the shared pool instead of ending it, and a later start resumes
+// it, so a second run of the same model makes no goroutine. The count may
+// still fall as an earlier test's exiting goroutine goes, never rise.
+func TestCoroutinesReused(t *testing.T) {
 	const parked = 50
-	for i := 0; i < parked; i++ {
-		s.Spawn("waiter", func(p *Proc) { mb.Recv(p) })
+	run := func() (during int) {
+		s := New()
+		mb := NewMailbox(s)
+		for i := 0; i < parked; i++ {
+			s.Spawn("waiter", func(p *Proc) { mb.Recv(p) })
+		}
+		s.Spawn("finisher", func(p *Proc) { p.Sleep(1) })
+		s.RunAll()
+		s.Spawn("never-started", func(p *Proc) {})
+		during = runtime.NumGoroutine()
+		s.Shutdown()
+		return during
 	}
-	s.Spawn("finisher", func(p *Proc) { p.Sleep(1) })
-	s.RunAll()
-	s.Spawn("never-started", func(p *Proc) {})
-	during := runtime.NumGoroutine()
-	s.Shutdown()
-	after := runtime.NumGoroutine()
-	if after > before {
-		t.Fatalf("%d goroutines after Shutdown, %d before New", after, before)
+	run()
+	before := runtime.NumGoroutine()
+	idleCoros.Lock()
+	idle := len(idleCoros.free)
+	idleCoros.Unlock()
+	if idle < parked+1 {
+		t.Fatalf("%d idle coroutines after Shutdown, want at least %d", idle, parked+1)
 	}
-	if during-after < parked {
-		t.Fatalf("Shutdown of %d parked processes released only %d goroutines (%d → %d)",
-			parked, during-after, during, after)
+	if during := run(); during > before {
+		t.Fatalf("%d goroutines with %d processes parked, %d before: the run made new coroutines",
+			during, parked, before)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before", after, before)
+	}
+}
+
+// TestCoroutinePoolAcrossGoroutines: Sims on different goroutines, as in a
+// parallel sweep, share the coroutine pool, which processes that finish,
+// are killed or are shut down return coroutines to; each Sim still repeats
+// its own sum, events and switches exactly.
+func TestCoroutinePoolAcrossGoroutines(t *testing.T) {
+	model := func() [3]uint64 {
+		s := New()
+		ping, pong := NewMailbox(s), NewMailbox(s)
+		var sum uint64
+		for i := 0; i < 20; i++ {
+			s.Spawn("a", func(p *Proc) {
+				for j := 0; j < 20; j++ {
+					pong.Send(j)
+					sum += uint64(ping.Recv(p).(int))
+				}
+			})
+			s.Spawn("b", func(p *Proc) {
+				for j := 0; j < 20; j++ {
+					ping.Send(pong.Recv(p).(int) * 2)
+				}
+			})
+			s.Spawn("short", func(p *Proc) { p.Sleep(Time(i)) })
+		}
+		victim := s.Spawn("victim", func(p *Proc) { p.Sleep(Second) })
+		s.At(50, func() { s.Kill(victim) })
+		s.Spawn("parked", func(p *Proc) { NewMailbox(s).Recv(p) })
+		s.RunAll()
+		s.Shutdown()
+		return [3]uint64{sum, s.EventCount(), s.Switches()}
+	}
+	want := model()
+	const workers = 4
+	var wg sync.WaitGroup
+	got := make([][3]uint64, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				if got[w] = model(); got[w] != want {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, g := range got {
+		if g != want {
+			t.Fatalf("worker %d: (sum, events, switches) = %v, want %v", w, g, want)
+		}
+	}
+}
+
+// TestKilledProcDeferPanic: a deferred function that panics while Kill
+// unwinds its process surfaces from the Kill caller, here Shutdown, and the
+// simulation stays usable: a later Run still fires the pending events.
+func TestKilledProcDeferPanic(t *testing.T) {
+	s := New()
+	s.Spawn("victim", func(p *Proc) {
+		defer func() { panic("cleanup failed") }()
+		p.Sleep(Second)
+	})
+	s.Run(5)
+	var fired []Time
+	s.At(7, func() { fired = append(fired, s.Now()) })
+	s.At(9, func() { fired = append(fired, s.Now()) })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Shutdown()
+		return nil
+	}()
+	msg, _ := got.(string)
+	if want := `sim: process "victim" panicked at 5ns: cleanup failed`; msg != want {
+		t.Fatalf("Shutdown caller recovered %v, want %q", got, want)
+	}
+	if s.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after the kill, want 0", s.LiveProcs())
+	}
+	s.Run(10)
+	if len(fired) != 2 || fired[0] != 7 || fired[1] != 9 {
+		t.Fatalf("pending events fired at %v, want [7 9]", fired)
+	}
+}
+
+// TestKilledHostDeferPanic: a callback kills the process whose coroutine
+// runs it, and the victim's deferred function panics as the coroutine hands
+// the calendar back at the horizon. The panic surfaces from Run, and the
+// next Run still fires the events it reaches.
+func TestKilledHostDeferPanic(t *testing.T) {
+	s := New()
+	host := s.Spawn("host", func(p *Proc) {
+		defer func() { panic("cleanup failed") }()
+		p.Sleep(Second)
+	})
+	var onHost bool
+	s.At(5, func() {
+		onHost = s.host == host
+		s.Kill(host)
+	})
+	var fired []Time
+	for _, at := range []Time{7, 12} {
+		s.At(at, func() { fired = append(fired, s.Now()) })
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run(10)
+		return nil
+	}()
+	if !onHost {
+		t.Fatal("kill did not run on the host's coroutine; test setup is broken")
+	}
+	msg, _ := got.(string)
+	if want := `sim: process "host" panicked at 7ns: cleanup failed`; msg != want {
+		t.Fatalf("Run caller recovered %v, want %q", got, want)
+	}
+	s.Run(15)
+	if len(fired) != 2 || fired[0] != 7 || fired[1] != 12 || s.Now() != 15 {
+		t.Fatalf("events fired at %v, clock at %v; want [7 12] and 15ns", fired, s.Now())
 	}
 }

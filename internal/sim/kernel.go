@@ -293,7 +293,7 @@ func (s *Sim) OnDeadlock(fn func(*DeadlockError)) { s.onDeadlock = fn }
 func (s *Sim) BlockedProcs() []string {
 	var names []string
 	for p := range s.procs {
-		if p.started && !p.done {
+		if p.co != nil && !p.done {
 			names = append(names, p.name)
 		}
 	}

@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"iter"
 	"sort"
+	"sync"
 )
 
 // killPanic is the panic value that unwinds a killed process through its
 // own code, running its deferred functions.
 type killPanic struct{}
 
-// Proc is a simulated process: a Go function running as an iter.Pull
+// Proc is a simulated process: a Go function running on an iter.Pull
 // coroutine. Exactly one coroutine runs at any instant, so process code
 // needs no locking and the simulation stays deterministic.
 //
@@ -26,18 +27,76 @@ type killPanic struct{}
 //
 // All Proc methods must be called from the process's own function.
 type Proc struct {
-	sim     *Sim
-	name    string
-	seq     uint64                  // spawn order; fixes iteration order over proc sets
-	fn      func(*Proc)             // the process function
-	next    func() (struct{}, bool) // resumes the coroutine; made by the start event
-	stop    func()                  // unwinds the coroutine parked in yield
-	yield   func(struct{}) bool     // suspends the coroutine, back to its resumer
-	val     any                     // value delivered by the pending wake
-	started bool                    // start event has fired
-	done    bool
-	span    any
-	wakeFn  func() // prebuilt wake(nil) continuation, so Sleep never allocates
+	sim    *Sim
+	name   string
+	seq    uint64      // spawn order; fixes iteration order over proc sets
+	fn     func(*Proc) // the process function
+	co     *coro       // coroutine running the process; set by the start event
+	val    any         // value delivered by the pending wake
+	done   bool
+	span   any
+	wakeFn func() // prebuilt wake(nil) continuation, so Sleep never allocates
+}
+
+// coro is a process coroutine. It outlives the processes it runs: when one
+// finishes or is killed, the coroutine goes idle in a pool shared by every
+// Sim, and a later start resumes it to run the next process, so the number
+// of coroutines ever made is the peak number of live processes. A fresh
+// coroutine per process would cost a goroutine start and exit each, and
+// with Go 1.24.0's race detector every exit leaks the goroutine's race
+// context (runtime.coroexit skips racegoend).
+type coro struct {
+	resume func() (struct{}, bool) // iter.Pull's next: runs the coroutine until it yields
+	yield  func(struct{}) bool     // suspends the coroutine, back to its resumer
+	proc   *Proc                   // process it runs; nil while idle
+}
+
+// idleCoros holds the idle coroutines. Sims on different goroutines share
+// it (a parallel sweep runs one Sim per worker), hence the mutex.
+var idleCoros struct {
+	sync.Mutex
+	free []*coro
+}
+
+// getCoro takes an idle coroutine, or makes one if none is idle.
+func getCoro() *coro {
+	idleCoros.Lock()
+	if n := len(idleCoros.free); n > 0 {
+		c := idleCoros.free[n-1]
+		idleCoros.free[n-1] = nil
+		idleCoros.free = idleCoros.free[:n-1]
+		idleCoros.Unlock()
+		return c
+	}
+	idleCoros.Unlock()
+	c := &coro{}
+	c.resume, _ = iter.Pull(c.loop) // never stopped: an idle coroutine waits for its next process
+	return c
+}
+
+// run resumes the coroutine until it yields: its process parked and handed
+// the calendar on, or it finished and left the coroutine idle, which goes
+// back to the pool. A panic in process code ends the coroutine and
+// propagates from here.
+func (c *coro) run() {
+	c.resume()
+	if c.proc == nil {
+		idleCoros.Lock()
+		idleCoros.free = append(idleCoros.free, c)
+		idleCoros.Unlock()
+	}
+}
+
+// loop is the coroutine's function: it runs one process after another,
+// yielding to its resumer when a process hands the calendar on and when one
+// finishes.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.proc.body()
+		c.proc.co, c.proc = nil, nil
+		yield(struct{}{})
+	}
 }
 
 // Name returns the process name given at Spawn time.
@@ -78,33 +137,39 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// start is the process's start event: it makes the process's coroutine, and
-// when the event returns the calendar passes to it. The coroutine's first
-// next() runs the process function.
+// start is the process's start event: it gives the process a coroutine, and
+// when the event returns the calendar passes to it. The coroutine's next
+// resume runs the process function.
 func (p *Proc) start() {
 	if p.done {
 		return // killed before its start event fired
 	}
-	p.started = true
-	p.next, p.stop = iter.Pull(p.body)
+	p.co = getCoro()
+	p.co.proc = p
 	p.sim.next = p
 }
 
-// body is the process's coroutine. When fn returns or the process is killed,
-// the coroutine still holds the calendar: it fires events until the calendar
-// must go to another process, then returns, handing control back to its
-// resumer. The tail is deferred: a killed process reaches it by unwinding.
-func (p *Proc) body(yield func(struct{}) bool) {
+// body runs the process on its coroutine. When fn returns or the process is
+// killed, the coroutine still holds the calendar: it fires events until the
+// calendar must go to another process, then returns, and the coroutine goes
+// idle. The tail is deferred: a killed process reaches it by unwinding.
+func (p *Proc) body() {
 	s := p.sim
-	p.yield = yield
 	defer func() {
 		r := recover()
 		if _, killed := r.(killPanic); r != nil && !killed {
-			// A real model bug: it reaches the Run caller through next(),
-			// with context. The process is dead; the calendar goes back to
-			// the Run caller with it.
+			// A real model bug: it ends the coroutine and reaches the Run
+			// caller through the coroutine's resume, with context. The
+			// process is dead; the calendar goes back to the Run caller
+			// with it.
+			// A killed process's deferred function can panic while its
+			// coroutine passes the calendar on; a pass back to the Run
+			// caller is dropped, so the next Run resumes the calendar.
 			p.finish()
 			s.current, s.host = nil, s.caller
+			if s.next == s.caller {
+				s.next = nil
+			}
 			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.name, s.now, r))
 		}
 		if !p.done {
@@ -127,17 +192,17 @@ func (p *Proc) finish() {
 // handOff passes the calendar to s.next and returns once self is handed it
 // back. A process yields to the Run caller. The Run caller is the
 // trampoline: it resumes one coroutine after another, each running until it
-// yields or returns, until the calendar comes back to the Run caller.
+// yields, until the calendar comes back to the Run caller.
 func (s *Sim) handOff(self *Proc) {
 	s.switches++
 	if self != s.caller {
-		self.yield(struct{}{})
+		self.co.yield(struct{}{})
 		return
 	}
 	for to := s.next; to != s.caller; to = s.next {
 		s.next = nil
 		s.host = to
-		to.next()
+		to.co.run()
 	}
 	s.next = nil
 	s.host = s.caller
@@ -247,8 +312,9 @@ func (s *Sim) Shutdown() {
 // fault-activation events.
 //
 // The victim is Done and off LiveProcs at once. When it is parked on a
-// coroutine of its own, Kill calls the coroutine's stop: the victim unwinds
-// now, running its deferred functions, and control comes straight back.
+// coroutine of its own, Kill resumes that coroutine: the victim unwinds
+// now, running its deferred functions, its coroutine goes idle, and control
+// comes straight back.
 // When the callback calling Kill runs on the victim's own coroutine (the
 // victim is parked, but its coroutine is running the calendar), the
 // coroutine unwinds later: when it next passes the calendar on, and before
@@ -261,13 +327,15 @@ func (s *Sim) Kill(p *Proc) {
 		return
 	}
 	p.finish()
-	if !p.started || p == s.host {
+	if p.co == nil || p == s.host {
 		return
 	}
 	self := s.host
 	s.next = self // the victim's coroutine must not run the calendar as it unwinds
 	s.host = p
 	s.switches++
-	p.stop()
-	s.next, s.host = nil, self
+	// Restored even if a deferred function of the victim panics, so that
+	// the panic leaves a usable simulation behind.
+	defer func() { s.next, s.host = nil, self }()
+	p.co.run()
 }

@@ -283,7 +283,7 @@ func TestStressHandOff(t *testing.T) {
 				}
 				if live[i] == s.host {
 					hostKills++
-				} else if !live[i].Done() && live[i].started {
+				} else if !live[i].Done() && live[i].co != nil {
 					otherKills++
 				}
 				s.Kill(live[i])

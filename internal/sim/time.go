@@ -3,7 +3,7 @@
 // The kernel has two layers. The lower layer is a classic event calendar: a
 // 4-ary heap of (time, sequence, callback) entries executed in order by
 // Run. The upper layer provides lightweight simulated processes: ordinary
-// Go functions that run as iter.Pull coroutines under strict hand-off, so
+// Go functions that run on iter.Pull coroutines under strict hand-off, so
 // exactly one of them (or the Run caller) is ever running. This keeps
 // simulations fully deterministic while letting model code be written in a
 // natural blocking style (Sleep, Wait, Acquire, ...).
