@@ -314,11 +314,10 @@ func (s *Sim) Shutdown() {
 // The victim is Done and off LiveProcs at once. When it is parked on a
 // coroutine of its own, Kill resumes that coroutine: the victim unwinds
 // now, running its deferred functions, its coroutine goes idle, and control
-// comes straight back.
-// When the callback calling Kill runs on the victim's own coroutine (the
-// victim is parked, but its coroutine is running the calendar), the
-// coroutine unwinds later: when it next passes the calendar on, and before
-// any other coroutine runs.
+// comes straight back. When the callback calling Kill runs on the victim's
+// own coroutine (the victim is parked, but its coroutine is running the
+// calendar), the coroutine unwinds later: when it next passes the calendar
+// on, and before any other coroutine runs.
 func (s *Sim) Kill(p *Proc) {
 	if s.current != nil {
 		panic("sim: Kill called from inside a process")
