@@ -204,7 +204,7 @@ func TestProcReturnStartsSpawnedChild(t *testing.T) {
 }
 
 // TestProcPanicSurfacesFromRun: a panic in process code reaches the Run
-// caller through the coroutine's next(), naming the process and the time.
+// caller through the coroutine's resume, naming the process and the time.
 // The process is dead, and the simulation stays usable.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
 	s := New()
