@@ -25,11 +25,21 @@ func BenchmarkSchedule(b *testing.B) {
 	s.RunAll()
 }
 
-// BenchmarkScheduleDepth exercises heap movement with a standing population
-// of 1024 timers, the regime router/link calendars run in.
+// standTimers schedules a standing population of 1024 far-future timers,
+// the regime router/link calendars run in: every push and pop of a heap
+// entry churns through a populated heap.
+func standTimers(s *Sim) {
+	const depth = 1024
+	fn := func() {}
+	for i := 0; i < depth; i++ {
+		s.At(Time(1)<<60+Time(i), fn)
+	}
+}
+
+// BenchmarkScheduleDepth exercises heap movement over the standing
+// population of standTimers.
 func BenchmarkScheduleDepth(b *testing.B) {
 	s := New()
-	const depth = 1024
 	n := 0
 	var step func()
 	step = func() {
@@ -38,15 +48,44 @@ func BenchmarkScheduleDepth(b *testing.B) {
 			s.After(Time(1), step)
 		}
 	}
-	// A standing population of far-future timers forces every push/pop to
-	// churn through a populated heap.
-	fn := func() {}
-	for i := 0; i < depth; i++ {
-		s.At(Time(1)<<60+Time(i), fn)
-	}
+	standTimers(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.After(Time(1), step)
+	s.RunAll()
+}
+
+// BenchmarkScheduleNow measures events scheduled for the current instant,
+// over the same standing population: as when a packet's arrival starts an
+// interrupt that is granted a CPU at once, each arrival (one time unit
+// after the last grant) schedules a start for its own instant, and the
+// start a grant. Two of every three events are same-instant.
+func BenchmarkScheduleNow(b *testing.B) {
+	s := New()
+	n := 0
+	var arrive, start, grant func()
+	arrive = func() {
+		if n < b.N {
+			n++
+			s.After(0, start)
+		}
+	}
+	start = func() {
+		if n < b.N {
+			n++
+			s.After(0, grant)
+		}
+	}
+	grant = func() {
+		if n < b.N {
+			n++
+			s.After(Time(1), arrive)
+		}
+	}
+	standTimers(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.After(Time(1), arrive)
 	s.RunAll()
 }
 
@@ -108,9 +147,35 @@ func BenchmarkProcHandOff(b *testing.B) {
 	b.ReportMetric(float64(s.Switches())/float64(b.N), "switches/op")
 }
 
+// BenchmarkResourceHandOver measures the server hand-over of a busy
+// Resource to a queued AcquireFunc continuation, the way callback actors
+// share a CPU: two actors hold a one-server resource in turn for one time
+// unit each, and every Release hands the server to the other, which queued
+// for it meanwhile. One hand-over per op.
+func BenchmarkResourceHandOver(b *testing.B) {
+	s := New()
+	r := NewResource(s, 1)
+	n := 0
+	var got, done func()
+	got = func() { s.After(Time(1), done) }
+	done = func() {
+		r.Release()
+		if n < b.N {
+			n++
+			r.AcquireFunc(0, got)
+		}
+	}
+	r.AcquireFunc(0, got) // the first actor takes the server
+	r.AcquireFunc(0, got) // the second queues for it
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunAll()
+}
+
 // TestScheduleSteadyStateAllocs pins the tentpole property: once the pool has
-// grown to the working population, schedule/fire and schedule/cancel run
-// without allocating.
+// grown to the working population, schedule/fire (for a later instant or the
+// current one) and schedule/cancel run without allocating, and so does a
+// Resource handing its server to a queued continuation or process.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	s := New()
 	fn := func() {}
@@ -136,6 +201,51 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("schedule+fire: %v allocs/op, want 0", avg)
 	}
+
+	if avg := testing.AllocsPerRun(200, func() {
+		s.After(0, fn)
+		s.RunAll()
+	}); avg != 0 {
+		t.Errorf("same-instant schedule+fire: %v allocs/op, want 0", avg)
+	}
+
+	// Hand-over to a continuation: the Run caller holds the server while a
+	// continuation queues; the continuation gets it and releases it.
+	r := NewResource(s, 1)
+	release := func() { r.Release() }
+	if avg := testing.AllocsPerRun(200, func() {
+		r.TryAcquire()
+		r.AcquireFunc(0, release)
+		r.Release()
+		s.RunAll()
+	}); avg != 0 || r.InUse() != 0 {
+		t.Errorf("hand-over to a continuation: %v allocs/op (%d servers left busy), want 0", avg, r.InUse())
+	}
+
+	// Hand-over to a process: each op the Run caller takes the server, the
+	// process wakes and queues for it, and a release event one time unit
+	// later hands it over; the process releases it and sleeps into the next
+	// op's window.
+	s.Spawn("waiter", func(p *Proc) {
+		for {
+			r.Acquire(p, 0)
+			r.Release()
+			p.Sleep(1)
+		}
+	})
+	s.Run(s.Now())
+	var ops uint64
+	waits := r.totalWaits
+	if avg := testing.AllocsPerRun(200, func() {
+		r.TryAcquire()
+		s.At(s.Now()+2, release)
+		s.Run(s.Now() + 2)
+		ops++
+	}); avg != 0 || r.totalWaits-waits != ops {
+		t.Errorf("hand-over to a process: %v allocs/op, %d waits in %d ops; want 0, one per op",
+			avg, r.totalWaits-waits, ops)
+	}
+	s.Shutdown()
 }
 
 // TestFiredTimerClosureCollectible is the regression test for stale-EventID

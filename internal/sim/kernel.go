@@ -9,18 +9,22 @@ import (
 // event is one slot of the kernel's event pool. Slots are recycled through a
 // free list; gen distinguishes incarnations of the same slot so that a held
 // EventID for a fired or cancelled event can never act on the slot's next
-// tenant (the classic ABA hazard of free-listed handles).
+// tenant (the classic ABA hazard of free-listed handles). The event's time
+// and sequence number live in its heap entry, not here.
 type event struct {
-	t   Time
-	seq uint64 // tie-breaker for determinism
 	fn  func()
 	gen uint32
-	idx int32 // position in the heap; -1 when not queued (free or firing)
+	idx int32 // position in the heap, inLane, or the free-list link (see below)
 }
 
-// noSlot terminates the free list. A free slot reuses its idx field as the
-// link to the next free slot, so the pool needs no side table.
-const noSlot = int32(-1)
+const (
+	// noSlot terminates the free list. A free slot reuses its idx field as
+	// the link to the next free slot, so the pool needs no side table. A
+	// cancelled slot still waiting in the lane has idx noSlot too.
+	noSlot = int32(-1)
+	// inLane marks a live slot queued in the same-instant lane.
+	inLane = int32(-2)
+)
 
 // EventID identifies a scheduled event so it can be cancelled. It is a value
 // (slot index + generation), not a pointer: holding an EventID after the
@@ -31,20 +35,36 @@ type EventID struct {
 	gen  uint32
 }
 
-// eventHeap is a 4-ary implicit heap of pool slot indices ordered by
-// (time, seq) of the referenced slots. A 4-ary layout does ~half the levels
-// of a binary heap, and child scans stay within one cache line of int32s.
-type eventHeap []int32
+// entry is one element of the calendar heap. It carries its own (time, seq)
+// key, so a comparison reads the heap array alone and never the pool.
+type entry struct {
+	t    Time
+	seq  uint64 // tie-breaker for determinism
+	slot int32
+}
+
+// less orders heap entries by (time, seq).
+func (a *entry) less(b *entry) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
+}
 
 // Sim is a discrete-event simulation. The zero value is not usable; create
 // one with New.
 type Sim struct {
-	now     Time
-	seq     uint64
-	pool    []event
-	free    int32 // head of the free-slot list (linked through idx), noSlot if empty
-	heap    eventHeap
-	stopped bool
+	now  Time
+	seq  uint64
+	pool []event
+	free int32 // head of the free-slot list (linked through idx), noSlot if empty
+	// heap is a 4-ary implicit heap of the events due after the instant
+	// at which they were scheduled. A 4-ary layout does about half the
+	// levels of a binary heap.
+	heap []entry
+	// lane queues, in schedule order, the events scheduled for the current
+	// instant: lane[laneHead:] are waiting, laneLive of them not cancelled.
+	lane     []int32
+	laneHead int
+	laneLive int
+	stopped  bool
 
 	horizon Time // end of the current run
 
@@ -80,7 +100,7 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) EventCount() uint64 { return s.nEvents }
 
 // Pending returns the number of scheduled (not yet fired) events.
-func (s *Sim) Pending() int { return len(s.heap) }
+func (s *Sim) Pending() int { return len(s.heap) + s.laneLive }
 
 // alloc takes a slot off the free list, growing the pool if it is empty.
 // Slot generations start at 1 so the zero EventID never matches a live slot.
@@ -106,18 +126,36 @@ func (s *Sim) release(slot int32) {
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
-// that is always a model bug.
+// that is always a model bug. An event for the current instant joins the
+// same-instant lane, which needs no sequence number: every event already in
+// the heap for this instant was scheduled before the clock reached it, so
+// it precedes the whole lane, and the lane fires in schedule order.
 func (s *Sim) At(t Time, fn func()) EventID {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	if t <= s.now {
+		if t < s.now {
+			panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+		}
+		if len(s.lane) == cap(s.lane) && s.laneHead > 0 && 2*s.laneHead >= len(s.lane) {
+			// An instant whose lane never empties would otherwise grow the
+			// lane by every event it fired.
+			s.lane = s.lane[:copy(s.lane, s.lane[s.laneHead:])]
+			s.laneHead = 0
+		}
+		slot := s.alloc()
+		e := &s.pool[slot]
+		e.fn = fn
+		e.idx = inLane
+		s.lane = append(s.lane, slot)
+		s.laneLive++
+		return EventID{slot: slot, gen: e.gen}
 	}
 	slot := s.alloc()
 	e := &s.pool[slot]
-	e.t = t
-	e.seq = s.seq
 	e.fn = fn
+	i := int32(len(s.heap))
+	s.heap = append(s.heap, entry{t: t, seq: s.seq, slot: slot})
 	s.seq++
-	s.heapPush(slot)
+	s.siftUp(i)
 	return EventID{slot: slot, gen: e.gen}
 }
 
@@ -139,13 +177,18 @@ func (s *Sim) After(d Time, fn func()) EventID {
 // Cancel cancels a scheduled event. Cancelling an already-fired or
 // already-cancelled event — including one whose pool slot has since been
 // recycled for a newer event — is a detected no-op: the generation tag in
-// the EventID no longer matches the slot.
+// the EventID no longer matches the slot. A cancelled lane event's ID goes
+// stale at once; its slot returns to the free list when the lane reaches it.
 func (s *Sim) Cancel(id EventID) {
-	if id.slot < 0 || int(id.slot) >= len(s.pool) {
+	if !s.Scheduled(id) {
 		return
 	}
 	e := &s.pool[id.slot]
-	if e.gen != id.gen || e.idx < 0 {
+	if e.idx == inLane {
+		e.fn = nil
+		e.gen++
+		e.idx = noSlot
+		s.laneLive--
 		return
 	}
 	s.heapRemove(e.idx)
@@ -153,90 +196,63 @@ func (s *Sim) Cancel(id EventID) {
 }
 
 // Scheduled reports whether id refers to an event that is still pending
-// (not fired, not cancelled, slot not recycled).
+// (not fired, not cancelled, slot not recycled). A slot's generation moves
+// on whenever its event fires or is cancelled, so a match means pending.
 func (s *Sim) Scheduled(id EventID) bool {
-	if id.slot < 0 || int(id.slot) >= len(s.pool) {
-		return false
-	}
-	e := &s.pool[id.slot]
-	return e.gen == id.gen && e.idx >= 0
+	return id.slot >= 0 && int(id.slot) < len(s.pool) && s.pool[id.slot].gen == id.gen
 }
 
-// less orders two pool slots by (time, seq).
-func (s *Sim) less(a, b int32) bool {
-	ea, eb := &s.pool[a], &s.pool[b]
-	if ea.t != eb.t {
-		return ea.t < eb.t
-	}
-	return ea.seq < eb.seq
-}
-
-// heapPush appends slot and sifts it up.
-func (s *Sim) heapPush(slot int32) {
-	i := int32(len(s.heap))
-	s.heap = append(s.heap, slot)
-	s.pool[slot].idx = i
-	s.siftUp(i)
-}
-
-// heapPopRoot removes and returns the root slot.
+// heapPopRoot removes the root entry and returns its slot.
 func (s *Sim) heapPopRoot() int32 {
-	root := s.heap[0]
-	s.pool[root].idx = -1
+	root := s.heap[0].slot
 	last := len(s.heap) - 1
-	if last > 0 {
-		moved := s.heap[last]
-		s.heap[0] = moved
-		s.pool[moved].idx = 0
-	}
+	s.heap[0] = s.heap[last]
 	s.heap = s.heap[:last]
-	if last > 1 {
+	if last > 0 {
 		s.siftDown(0)
 	}
 	return root
 }
 
-// heapRemove removes the element at heap position i.
+// heapRemove removes the entry at heap position i.
 func (s *Sim) heapRemove(i int32) {
 	last := int32(len(s.heap) - 1)
-	victim := s.heap[i]
-	s.pool[victim].idx = -1
-	if i != last {
-		moved := s.heap[last]
-		s.heap[i] = moved
-		s.pool[moved].idx = i
+	if i == last {
 		s.heap = s.heap[:last]
-		// The moved element may need to travel either direction.
-		s.siftDown(i)
-		if s.heap[i] == moved {
-			s.siftUp(i)
-		}
-	} else {
-		s.heap = s.heap[:last]
+		return
+	}
+	moved := s.heap[last].slot
+	s.heap[i] = s.heap[last]
+	s.heap = s.heap[:last]
+	// The moved entry may need to travel either direction.
+	s.siftDown(i)
+	if s.heap[i].slot == moved {
+		s.siftUp(i)
 	}
 }
 
 // siftUp restores the heap property from position i toward the root.
 func (s *Sim) siftUp(i int32) {
-	slot := s.heap[i]
+	h := s.heap
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		p := s.heap[parent]
-		if !s.less(slot, p) {
+		if !x.less(&h[parent]) {
 			break
 		}
-		s.heap[i] = p
-		s.pool[p].idx = i
+		h[i] = h[parent]
+		s.pool[h[i].slot].idx = i
 		i = parent
 	}
-	s.heap[i] = slot
-	s.pool[slot].idx = i
+	h[i] = x
+	s.pool[x.slot].idx = i
 }
 
 // siftDown restores the heap property from position i toward the leaves.
 func (s *Sim) siftDown(i int32) {
-	n := int32(len(s.heap))
-	slot := s.heap[i]
+	h := s.heap
+	n := int32(len(h))
+	x := h[i]
 	for {
 		first := i<<2 + 1 // leftmost child
 		if first >= n {
@@ -248,20 +264,19 @@ func (s *Sim) siftDown(i int32) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if s.less(s.heap[c], s.heap[best]) {
+			if h[c].less(&h[best]) {
 				best = c
 			}
 		}
-		b := s.heap[best]
-		if !s.less(b, slot) {
+		if !h[best].less(&x) {
 			break
 		}
-		s.heap[i] = b
-		s.pool[b].idx = i
+		h[i] = h[best]
+		s.pool[h[i].slot].idx = i
 		i = best
 	}
-	s.heap[i] = slot
-	s.pool[slot].idx = i
+	h[i] = x
+	s.pool[x.slot].idx = i
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -332,17 +347,16 @@ func (s *Sim) run(horizon Time, advance bool) Time {
 	if s.stopped {
 		return s.now
 	}
-	if len(s.heap) > 0 {
-		// The next event lies beyond the horizon.
-		s.now = horizon
-		return s.now
-	}
-	if s.onDeadlock != nil && len(s.procs) > 0 {
+	pending := s.Pending() > 0 // if so, the next event lies beyond the horizon
+	if !pending && s.onDeadlock != nil && len(s.procs) > 0 {
 		if names := s.BlockedProcs(); len(names) > 0 {
 			s.onDeadlock(&DeadlockError{At: s.now, Procs: names})
 		}
 	}
-	if advance && s.now < horizon {
+	// The clock only moves forward: a horizon before now leaves it where
+	// it is, and so leaves the lane's events at the instant they were
+	// scheduled for.
+	if (pending || advance) && s.now < horizon {
 		s.now = horizon
 	}
 	return s.now
@@ -371,15 +385,34 @@ func (s *Sim) drive(self *Proc) {
 			s.handOff(self)
 			return
 		}
-		if len(s.heap) == 0 || s.stopped || s.pool[s.heap[0]].t > s.horizon {
+		// Events fire in (time, seq) order: first the heap's events for the
+		// current instant, then the lane, then the heap's next instant.
+		if s.stopped || s.now > s.horizon {
 			s.next = s.caller
 			continue
 		}
-		slot := s.heapPopRoot()
-		e := &s.pool[slot]
-		s.now = e.t
+		var slot int32
+		if h := s.heap; len(h) > 0 && (h[0].t == s.now || s.laneHead == len(s.lane) && h[0].t <= s.horizon) {
+			s.now = h[0].t
+			slot = s.heapPopRoot()
+		} else if s.laneHead < len(s.lane) {
+			slot = s.lane[s.laneHead]
+			s.laneHead++
+			if s.laneHead == len(s.lane) {
+				s.lane = s.lane[:0]
+				s.laneHead = 0
+			}
+			if s.pool[slot].idx != inLane {
+				s.release(slot) // cancelled while queued
+				continue
+			}
+			s.laneLive--
+		} else {
+			s.next = s.caller
+			continue
+		}
 		s.nEvents++
-		fn := e.fn
+		fn := s.pool[slot].fn
 		// Recycle the slot before invoking the callback: the hot pattern of
 		// an event rescheduling its successor reuses the just-freed slot, so
 		// the steady-state calendar footprint is exactly the peak population.

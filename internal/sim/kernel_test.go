@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -49,6 +50,38 @@ func TestHorizonStopsRun(t *testing.T) {
 	s.Run(200)
 	if !fired {
 		t.Fatal("event not fired after horizon extended")
+	}
+}
+
+// TestRunHorizonBeforeNow: a Run whose horizon lies before now fires
+// nothing and leaves the clock where it is, so an event left at the current
+// instant by a Stop still fires at that instant.
+func TestRunHorizonBeforeNow(t *testing.T) {
+	s := New()
+	var fired []Time
+	record := func() { fired = append(fired, s.Now()) }
+	s.At(100, record)
+	s.At(200, record)
+	if end := s.Run(150); end != 150 {
+		t.Fatalf("Run(150) = %v, want 150", end)
+	}
+	if end := s.Run(120); end != 150 || s.Now() != 150 || s.Pending() != 1 {
+		t.Fatalf("Run(120) after Run(150) = %v, Now() %v, Pending() %d; want 150, 150, 1",
+			end, s.Now(), s.Pending())
+	}
+	s.At(300, func() {
+		s.After(0, record)
+		s.Stop()
+	})
+	if end := s.Run(400); end != 300 {
+		t.Fatalf("Run(400) stopped at %v, want 300", end)
+	}
+	if end := s.Run(250); end != 300 || s.Pending() != 1 {
+		t.Fatalf("Run(250) after a Stop at 300 = %v with %d pending; want 300, 1", end, s.Pending())
+	}
+	s.Run(400)
+	if want := []Time{100, 200, 300}; !slices.Equal(fired, want) {
+		t.Fatalf("events fired at %v, want %v", fired, want)
 	}
 }
 

@@ -35,7 +35,7 @@ type Proc struct {
 	val    any         // value delivered by the pending wake
 	done   bool
 	span   any
-	wakeFn func() // prebuilt wake(nil) continuation, so Sleep never allocates
+	wakeFn func() // prebuilt wake(nil) continuation, so Sleep and Resource hand-overs never allocate
 }
 
 // coro is a process coroutine. It outlives the processes it runs: when one
@@ -231,8 +231,8 @@ func (p *Proc) park() any {
 // the last action of its event: it only names the process to run next, and
 // the hand-off to that process's coroutine happens when the event returns.
 // Primitives ensure this by scheduling each wake as an event of its own
-// (Sleep's wakeFn, the closures in Resource.Release and Mailbox.dispatch,
-// the mailbox timer).
+// (the wakeFn that Sleep and Resource.Release schedule, the closure in
+// Mailbox.dispatch, the mailbox timer).
 func (p *Proc) wake(val any) {
 	s := p.sim
 	if s.current != nil {

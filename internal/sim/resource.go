@@ -7,7 +7,12 @@ type Resource struct {
 	sim      *Sim
 	capacity int
 	inUse    int
-	queue    []*resWaiter
+	// queue[head:] are the waiters in service order. The slice is reused:
+	// it empties back to its start, and a full one whose first half is
+	// served is compacted instead of grown, so steady-state waits do not
+	// allocate.
+	queue []resWaiter
+	head  int
 
 	// Queueing statistics.
 	totalWaits    uint64
@@ -22,7 +27,7 @@ type resWaiter struct {
 	p       *Proc  // process waiter, or
 	fn      func() // continuation waiter (callback actors; see AcquireFunc)
 	prio    int
-	arrived Time
+	arrived Time // continuation waiters only; Acquire keeps its own
 }
 
 // NewResource returns a resource with the given number of servers.
@@ -40,7 +45,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of waiting processes.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // accountBusy accumulates server-busy time for utilization reporting.
 func (r *Resource) accountBusy() {
@@ -85,7 +90,7 @@ func (r *Resource) MeanWait() Time {
 // TryAcquire claims a server without blocking, returning false if none is
 // free or waiters are queued ahead.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.accountBusy()
 		r.inUse++
 		r.lastBusy = r.inUse
@@ -97,17 +102,17 @@ func (r *Resource) TryAcquire() bool {
 // Acquire claims a server, blocking the process in priority-FIFO order
 // until one is free. Lower prio values are served first.
 func (r *Resource) Acquire(p *Proc, prio int) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.accountBusy()
 		r.inUse++
 		r.lastBusy = r.inUse
 		return
 	}
-	w := &resWaiter{p: p, prio: prio, arrived: r.sim.now}
-	r.enqueue(w)
+	arrived := r.sim.now
+	r.enqueue(resWaiter{p: p, prio: prio})
 	p.park()
 	r.totalWaits++
-	r.totalWaitTime += r.sim.now - w.arrived
+	r.totalWaitTime += r.sim.now - arrived
 }
 
 // AcquireFunc is the continuation-style Acquire for callback actors: if a
@@ -117,27 +122,33 @@ func (r *Resource) Acquire(p *Proc, prio int) {
 // process) once a server is handed to it. The caller must eventually call
 // Release from fn's continuation chain. Kernel context only.
 func (r *Resource) AcquireFunc(prio int, fn func()) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.accountBusy()
 		r.inUse++
 		r.lastBusy = r.inUse
 		fn()
 		return
 	}
-	r.enqueue(&resWaiter{fn: fn, prio: prio, arrived: r.sim.now})
+	r.enqueue(resWaiter{fn: fn, prio: prio, arrived: r.sim.now})
 }
 
 // enqueue inserts w before the first waiter with a strictly larger prio
-// value (priority-FIFO).
-func (r *Resource) enqueue(w *resWaiter) {
-	i := len(r.queue)
-	for j, q := range r.queue {
-		if q.prio > w.prio {
-			i = j
-			break
-		}
+// value (priority-FIFO). The queue is sorted by prio, so that is just after
+// the last waiter whose prio is not larger, found from the tail: an arrival
+// whose prio is no smaller than the last waiter's, the common case, scans
+// nothing.
+func (r *Resource) enqueue(w resWaiter) {
+	if len(r.queue) == cap(r.queue) && r.head > 0 && 2*r.head >= len(r.queue) {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue = r.queue[:n]
+		r.head = 0
 	}
-	r.queue = append(r.queue, nil)
+	i := len(r.queue)
+	for i > r.head && r.queue[i-1].prio > w.prio {
+		i--
+	}
+	r.queue = append(r.queue, resWaiter{})
 	copy(r.queue[i+1:], r.queue[i:])
 	r.queue[i] = w
 }
@@ -148,9 +159,14 @@ func (r *Resource) Release() {
 		panic("sim: Release on idle resource")
 	}
 	r.accountBusy()
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
+	for r.head < len(r.queue) {
+		w := r.queue[r.head]
+		r.queue[r.head] = resWaiter{} // drop the references for the collector
+		r.head++
+		if r.head == len(r.queue) {
+			r.queue = r.queue[:0]
+			r.head = 0
+		}
 		if w.fn != nil {
 			// Continuation waiter: the server passes directly to it; the
 			// continuation runs through the calendar exactly where a woken
@@ -165,7 +181,7 @@ func (r *Resource) Release() {
 			continue // waiter was killed while queued; do not strand the server on it
 		}
 		// Server passes directly to the waiter; inUse unchanged.
-		r.sim.After(0, func() { w.p.wake(nil) })
+		r.sim.After(0, w.p.wakeFn)
 		return
 	}
 	r.inUse--

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,152 @@ func TestPooledCalendarStress(t *testing.T) {
 		}
 		if f1 == 0 {
 			t.Fatalf("seed %d: no timers fired; stress loop inert", seed)
+		}
+	}
+}
+
+// TestCalendarOrderOracle checks the calendar against a reference model.
+// Callbacks schedule same-instant events (After(0), At(Now())) among future
+// ones with exact ties, cancel random IDs (live in the heap, live in the
+// same-instant lane, fired, or already cancelled, some twice) and Stop in
+// the middle of an instant; the Run caller resumes with random horizons,
+// some before now. Every fired event must be the reference model's next
+// (time, schedule order), and Pending and Scheduled must agree with the
+// model after every event and every Run.
+func TestCalendarOrderOracle(t *testing.T) {
+	type ref struct {
+		t       Time
+		order   int // schedule order
+		id      EventID
+		pending bool
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		s := New()
+		x := seed*2654435761 + 4242
+		next := func(n int) int {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return int(x % uint64(n))
+		}
+		var evs []*ref
+		live := 0
+		var fired []*ref
+		stopped := false
+		var horizon Time
+		check := func(where string) {
+			t.Helper()
+			if s.Pending() != live {
+				t.Fatalf("seed %d, %s at %v: Pending() = %d, model %d", seed, where, s.Now(), s.Pending(), live)
+			}
+			for _, r := range evs {
+				if s.Scheduled(r.id) != r.pending {
+					t.Fatalf("seed %d, %s at %v: Scheduled(event %d) = %v, model %v",
+						seed, where, s.Now(), r.order, !r.pending, r.pending)
+				}
+			}
+		}
+		var schedule func(at Time)
+		fire := func(r *ref) {
+			if !r.pending {
+				t.Fatalf("seed %d: event %d fired although fired or cancelled", seed, r.order)
+			}
+			for _, o := range evs {
+				if o.pending && (o.t < r.t || o.t == r.t && o.order < r.order) {
+					t.Fatalf("seed %d: event %d (t=%v) fired before event %d (t=%v)", seed, r.order, r.t, o.order, o.t)
+				}
+			}
+			if s.Now() != r.t || r.t > horizon {
+				t.Fatalf("seed %d: event %d for %v fired at %v, horizon %v", seed, r.order, r.t, s.Now(), horizon)
+			}
+			r.pending = false
+			live--
+			fired = append(fired, r)
+			if len(evs) < 1500 {
+				for k := 1 + next(4); k > 0; k-- {
+					switch next(6) {
+					case 0:
+						schedule(s.Now())
+					case 1: // At(Now()) rather than After(0)
+						schedule(-1)
+					case 2: // a tie with a pending event, wherever it sits
+						if o := evs[next(len(evs))]; o.pending {
+							schedule(o.t)
+						}
+					default:
+						schedule(s.Now() + Time(next(4)))
+					}
+				}
+			}
+			for k := next(3); k > 0; k-- {
+				var victim *ref
+				if next(2) == 0 {
+					// Prefer a pending event of this instant, often in the lane.
+					for _, o := range evs {
+						if o.pending && o.t == s.Now() {
+							victim = o
+							break
+						}
+					}
+				}
+				if victim == nil {
+					victim = evs[next(len(evs))]
+				}
+				for n := 1 + next(2); n > 0; n-- {
+					s.Cancel(victim.id)
+					if victim.pending {
+						victim.pending = false
+						live--
+					}
+				}
+			}
+			if next(10) == 0 {
+				s.Stop()
+				stopped = true
+			}
+			check("after an event")
+		}
+		schedule = func(at Time) {
+			r := &ref{t: at, order: len(evs), pending: true}
+			evs = append(evs, r)
+			live++
+			if at < 0 {
+				r.t = s.Now()
+				r.id = s.At(s.Now(), func() { fire(r) })
+			} else {
+				r.id = s.After(at-s.Now(), func() { fire(r) })
+			}
+		}
+		for i := 0; i < 20; i++ {
+			schedule(Time(next(5)))
+		}
+		for rounds := 0; s.Pending() > 0; rounds++ {
+			if rounds > 10000 {
+				t.Fatalf("seed %d: calendar never drained", seed)
+			}
+			before := s.Now()
+			if next(4) == 0 {
+				schedule(before) // from the Run caller, possibly after a Stop
+			}
+			h := before + Time(next(6)) - 1
+			horizon, stopped = h, false
+			end := s.Run(h)
+			check("after Run")
+			if s.Now() != end || end < before {
+				t.Fatalf("seed %d: Run(%v) from %v returned %v with Now() %v", seed, h, before, end, s.Now())
+			}
+			if !stopped && end != max(before, h) {
+				t.Fatalf("seed %d: Run(%v) from %v left the clock at %v", seed, h, before, end)
+			}
+		}
+		if len(fired) < 200 {
+			t.Fatalf("seed %d: only %d events fired; the oracle loop is inert", seed, len(fired))
+		}
+		if !sort.SliceIsSorted(fired, func(i, j int) bool {
+			a, b := fired[i], fired[j]
+			return a.t < b.t || a.t == b.t && a.order < b.order
+		}) {
+			t.Fatalf("seed %d: fire order differs from the (time, schedule order) sort", seed)
 		}
 	}
 }

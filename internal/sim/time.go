@@ -1,12 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel has two layers. The lower layer is a classic event calendar: a
-// 4-ary heap of (time, sequence, callback) entries executed in order by
-// Run. The upper layer provides lightweight simulated processes: ordinary
-// Go functions that run on iter.Pull coroutines under strict hand-off, so
-// exactly one of them (or the Run caller) is ever running. This keeps
-// simulations fully deterministic while letting model code be written in a
-// natural blocking style (Sleep, Wait, Acquire, ...).
+// The kernel has two layers. The lower layer is a classic event calendar,
+// executed in (time, sequence) order by Run: a 4-ary heap of entries that
+// carry their own (time, sequence) key, and a FIFO lane for the events
+// scheduled for the current instant. The upper layer provides lightweight
+// simulated processes: ordinary Go functions that run on iter.Pull
+// coroutines under strict hand-off, so exactly one of them (or the Run
+// caller) is ever running. This keeps simulations fully deterministic while
+// letting model code be written in a natural blocking style (Sleep, Wait,
+// Acquire, ...).
 package sim
 
 import "fmt"
