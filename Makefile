@@ -1,11 +1,20 @@
 GO ?= go
 
-.PHONY: all build vet test race lint fuzz-smoke kernel-bench clean
+.PHONY: all build fmt vet test race lint fuzz-smoke kernel-bench clean
 
-all: build vet lint test
+all: build fmt vet lint test
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when gofmt would reformat anything (as CI does).
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "not gofmt-clean:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

@@ -24,7 +24,7 @@ type Link struct {
 	// inflight holds frames that finished serialization and are propagating,
 	// oldest first. Arrival events pop from the front: the wire is FIFO and
 	// the propagation delay is fixed at construction, so this is exact.
-	inflight pktRing
+	inflight sim.Queue[*Packet]
 
 	// Prebuilt continuations, so serialization and arrival events do not
 	// allocate a closure per frame.
@@ -141,14 +141,14 @@ func (l *Link) serDone() {
 	l.PktsSent++
 	// Propagation: the wire is free for the next frame while this one
 	// flies.
-	l.inflight.push(pkt)
+	l.inflight.Push(pkt)
 	l.net.sim.After(l.prop, l.arriveFn)
 	l.kick()
 }
 
 // arrive fires when the oldest propagating frame reaches the far end.
 func (l *Link) arrive() {
-	l.to.receive(l.inflight.pop())
+	l.to.receive(l.inflight.Pop())
 }
 
 // dropFault discards a packet lost to an injected fault.

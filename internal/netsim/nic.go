@@ -13,7 +13,7 @@ type NIC struct {
 
 	// Loopback frames in flight (constant local delay, so strictly FIFO)
 	// and the prebuilt delivery continuation.
-	loopQ  pktRing
+	loopQ  sim.Queue[*Packet]
 	loopFn func()
 }
 
@@ -51,9 +51,9 @@ func (nic *NIC) transmit(pkt *Packet) {
 		// Loopback: deliver after a negligible local delay without touching
 		// the fabric.
 		if nic.loopFn == nil {
-			nic.loopFn = func() { nic.net.deliver(nic.loopQ.pop()) }
+			nic.loopFn = func() { nic.net.deliver(nic.loopQ.Pop()) }
 		}
-		nic.loopQ.push(pkt)
+		nic.loopQ.Push(pkt)
 		nic.net.sim.After(sim.Microsecond, nic.loopFn)
 		return
 	}

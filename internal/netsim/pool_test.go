@@ -30,6 +30,49 @@ func TestPacketPoolHitPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestQdiscPassThroughDoesNotAllocate: once a qdisc's class queues have
+// grown to their high-water mark, packets pass through Enqueue and dequeue
+// without touching the heap, under strict priority and under WFQ, one at a
+// time and in bursts that mix the classes.
+func TestQdiscPassThroughDoesNotAllocate(t *testing.T) {
+	for _, disc := range []struct {
+		name string
+		d    Discipline
+	}{{"priority", DiscPriority}, {"wfq", DiscWFQ}} {
+		for _, burst := range []int{1, 4} {
+			n := New(sim.New())
+			q := NewQdisc(n, bigCfg())
+			q.SetDiscipline(disc.d, nil)
+			pkts := make([]*Packet, burst)
+			for i := range pkts {
+				pkts[i] = n.AllocPacket()
+				pkts[i].Size = 1000
+				pkts[i].Class = Class(i % NumClasses)
+			}
+			passed := 0
+			cycle := func() {
+				for _, pkt := range pkts {
+					q.Enqueue(pkt)
+				}
+				for range pkts {
+					if q.dequeue() != nil {
+						passed++
+					}
+				}
+			}
+			if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+				t.Errorf("%s, %d in %d out: %v allocs/op, want 0", disc.name, burst, burst, avg)
+			}
+			if want := 101 * burst; passed != want || q.Len() != 0 {
+				t.Errorf("%s, %d in %d out: %d packets out of %d, %d left queued", disc.name, burst, burst, passed, want, q.Len())
+			}
+			for _, pkt := range pkts {
+				n.freePacket(pkt)
+			}
+		}
+	}
+}
+
 // TestPoolBalancedAfterLossyRun is the runtime witness for the static
 // ownership contract under faults: every pool-drawn packet injected into a
 // lossy fabric dies exactly once — delivered, tail-dropped, or lost to the

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"dclue/internal/rng"
+	"dclue/internal/sim"
 	"dclue/internal/telemetry"
 )
 
@@ -35,7 +36,7 @@ func DefaultQdiscConfig() QdiscConfig {
 type Qdisc struct {
 	net  *Network
 	cfg  QdiscConfig
-	q    [NumClasses][]*Packet
+	q    [NumClasses]sim.Queue[*Packet]
 	size [NumClasses]int // queued bytes per class
 	link *Link
 
@@ -87,7 +88,7 @@ func (q *Qdisc) Enqueue(pkt *Packet) {
 		pkt.Marked = true
 		q.net.Marks++
 	}
-	q.q[c] = append(q.q[c], pkt)
+	q.q[c].Push(pkt)
 	q.size[c] += pkt.Size
 	if d := q.Depth(); d > q.MaxDepth {
 		q.MaxDepth = d
@@ -120,9 +121,8 @@ func (q *Qdisc) pick() *Packet {
 	}
 	// Strict priority: highest class first, FIFO within class.
 	for c := NumClasses - 1; c >= 0; c-- {
-		if len(q.q[c]) > 0 {
-			pkt := q.q[c][0]
-			q.q[c] = q.q[c][1:]
+		if q.q[c].Len() > 0 {
+			pkt := q.q[c].Pop()
 			q.size[c] -= pkt.Size
 			return pkt
 		}
@@ -142,8 +142,8 @@ func (q *Qdisc) Depth() int {
 // Len returns the total queued packet count across classes.
 func (q *Qdisc) Len() int {
 	total := 0
-	for _, l := range q.q {
-		total += len(l)
+	for c := range q.q {
+		total += q.q[c].Len()
 	}
 	return total
 }

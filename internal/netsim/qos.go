@@ -108,18 +108,17 @@ func (q *Qdisc) wfqDequeue() *Packet {
 	for {
 		best := -1
 		for c := 0; c < NumClasses; c++ {
-			if len(q.q[c]) == 0 {
+			if q.q[c].Len() == 0 {
 				continue
 			}
-			if q.deficit[c] >= float64(q.q[c][0].Size) {
+			if q.deficit[c] >= float64((*q.q[c].At(0)).Size) {
 				if best < 0 || q.deficit[best]/q.weights[best] < q.deficit[c]/q.weights[c] {
 					best = c
 				}
 			}
 		}
 		if best >= 0 {
-			pkt := q.q[best][0]
-			q.q[best] = q.q[best][1:]
+			pkt := q.q[best].Pop()
 			q.size[best] -= pkt.Size
 			q.deficit[best] -= float64(pkt.Size)
 			return pkt
@@ -127,7 +126,7 @@ func (q *Qdisc) wfqDequeue() *Packet {
 		// Nothing eligible: if any class is backlogged, grant quanta.
 		backlogged := false
 		for c := 0; c < NumClasses; c++ {
-			if len(q.q[c]) > 0 {
+			if q.q[c].Len() > 0 {
 				backlogged = true
 				q.deficit[c] += q.weights[c] * wfqQuantum
 			} else {

@@ -18,7 +18,7 @@ type Router struct {
 	fwdRate float64  // packets per second through the forwarding engine
 	latency sim.Time // fixed per-packet forwarding latency
 
-	fwdQ      pktRing
+	fwdQ      sim.Queue[*Packet]
 	fwdBusy   bool
 	fwdLimit  int     // max queued packets in the forwarding engine
 	inService *Packet // packet in the forwarding engine
@@ -87,23 +87,23 @@ func (r *Router) DefaultRoute(q *Qdisc) { r.defaultPort = q }
 
 // receive implements sink: a packet arrives from some link.
 func (r *Router) receive(pkt *Packet) {
-	if r.fwdQ.len() >= r.fwdLimit {
+	if r.fwdQ.Len() >= r.fwdLimit {
 		r.FwdDrops++
 		r.net.Drops++
 		r.net.freePacket(pkt)
 		return
 	}
-	r.fwdQ.push(pkt)
+	r.fwdQ.Push(pkt)
 	r.pump()
 }
 
 // pump drives the forwarding engine.
 func (r *Router) pump() {
-	if r.fwdBusy || r.fwdQ.len() == 0 {
+	if r.fwdBusy || r.fwdQ.Len() == 0 {
 		return
 	}
 	r.fwdBusy = true
-	r.inService = r.fwdQ.pop()
+	r.inService = r.fwdQ.Pop()
 	service := sim.Time(float64(sim.Second)/r.fwdRate) + r.latency
 	r.net.sim.After(service, r.fwdDoneFn)
 }

@@ -112,7 +112,7 @@ type CPU struct {
 	// Interrupt work: a FIFO of pending tasks served by NumCPUs
 	// continuation-style "interrupt channels" (no goroutines — each channel
 	// is a tiny state machine driven by kernel callbacks; see irqService).
-	irqQ     irqRing
+	irqQ     sim.Queue[irqTask]
 	services []*irqService
 	dead     bool // set by Stop (node crash): drop all further interrupt work
 
@@ -149,40 +149,6 @@ func (t *irqTask) complete() {
 	} else if t.fn != nil {
 		t.fn(t.arg)
 	}
-}
-
-// irqRing is an allocation-free FIFO of interrupt tasks.
-type irqRing struct {
-	buf  []irqTask
-	head int
-	n    int
-}
-
-func (r *irqRing) push(t irqTask) {
-	if r.n == len(r.buf) {
-		grown := make([]irqTask, 2*len(r.buf)+4)
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = t
-	r.n++
-}
-
-func (r *irqRing) pop() irqTask {
-	t := r.buf[r.head]
-	r.buf[r.head] = irqTask{}
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return t
-}
-
-func (r *irqRing) reset() {
-	for i := range r.buf {
-		r.buf[i] = irqTask{}
-	}
-	r.head, r.n = 0, 0
 }
 
 // irqService is one interrupt channel: the continuation analogue of the old
@@ -236,7 +202,7 @@ func NewCPU(s *sim.Sim, cfg Config) *CPU {
 // pending stats tick fires as a no-op and does not re-arm. Kernel context.
 func (c *CPU) Stop() {
 	c.dead = true
-	c.irqQ.reset()
+	c.irqQ.Clear()
 	for _, svc := range c.services {
 		if c.sim.Scheduled(svc.ev) {
 			c.sim.Cancel(svc.ev)
@@ -400,7 +366,7 @@ func (c *CPU) submit(t irqTask) {
 			return
 		}
 	}
-	c.irqQ.push(t)
+	c.irqQ.Push(t)
 }
 
 // doStart begins serving the assigned task: claim a processor at interrupt
@@ -444,8 +410,8 @@ func (svc *irqService) doFinish() {
 		svc.busy = false
 		return
 	}
-	if c.irqQ.n > 0 {
-		svc.task = c.irqQ.pop()
+	if c.irqQ.Len() > 0 {
+		svc.task = c.irqQ.Pop()
 		c.res.AcquireFunc(prioInterrupt, svc.grant)
 		return
 	}

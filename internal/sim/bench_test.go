@@ -175,7 +175,8 @@ func BenchmarkResourceHandOver(b *testing.B) {
 // TestScheduleSteadyStateAllocs pins the tentpole property: once the pool has
 // grown to the working population, schedule/fire (for a later instant or the
 // current one) and schedule/cancel run without allocating, and so does a
-// Resource handing its server to a queued continuation or process.
+// Resource handing its server to a queued continuation or process, and a
+// Mailbox send taken without blocking.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	s := New()
 	fn := func() {}
@@ -207,6 +208,17 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 		s.RunAll()
 	}); avg != 0 {
 		t.Errorf("same-instant schedule+fire: %v allocs/op, want 0", avg)
+	}
+
+	// A value sent and taken with TryRecv: the mailbox's queue is reused. A
+	// pointer goes into an any without boxing.
+	m := NewMailbox(s)
+	v := new(int)
+	if avg := testing.AllocsPerRun(200, func() {
+		m.Send(v)
+		m.TryRecv()
+	}); avg != 0 || m.Len() != 0 {
+		t.Errorf("mailbox send+try-receive: %v allocs/op (%d values left), want 0", avg, m.Len())
 	}
 
 	// Hand-over to a continuation: the Run caller holds the server while a

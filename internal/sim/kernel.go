@@ -59,10 +59,9 @@ type Sim struct {
 	// at which they were scheduled. A 4-ary layout does about half the
 	// levels of a binary heap.
 	heap []entry
-	// lane queues, in schedule order, the events scheduled for the current
-	// instant: lane[laneHead:] are waiting, laneLive of them not cancelled.
-	lane     []int32
-	laneHead int
+	// lane queues, in schedule order, the slots of the events scheduled
+	// for the current instant, laneLive of them not cancelled.
+	lane     Queue[int32]
 	laneLive int
 	stopped  bool
 
@@ -135,17 +134,11 @@ func (s *Sim) At(t Time, fn func()) EventID {
 		if t < s.now {
 			panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 		}
-		if len(s.lane) == cap(s.lane) && s.laneHead > 0 && 2*s.laneHead >= len(s.lane) {
-			// An instant whose lane never empties would otherwise grow the
-			// lane by every event it fired.
-			s.lane = s.lane[:copy(s.lane, s.lane[s.laneHead:])]
-			s.laneHead = 0
-		}
 		slot := s.alloc()
 		e := &s.pool[slot]
 		e.fn = fn
 		e.idx = inLane
-		s.lane = append(s.lane, slot)
+		s.lane.Push(slot)
 		s.laneLive++
 		return EventID{slot: slot, gen: e.gen}
 	}
@@ -392,16 +385,11 @@ func (s *Sim) drive(self *Proc) {
 			continue
 		}
 		var slot int32
-		if h := s.heap; len(h) > 0 && (h[0].t == s.now || s.laneHead == len(s.lane) && h[0].t <= s.horizon) {
+		if h := s.heap; len(h) > 0 && (h[0].t == s.now || s.lane.Len() == 0 && h[0].t <= s.horizon) {
 			s.now = h[0].t
 			slot = s.heapPopRoot()
-		} else if s.laneHead < len(s.lane) {
-			slot = s.lane[s.laneHead]
-			s.laneHead++
-			if s.laneHead == len(s.lane) {
-				s.lane = s.lane[:0]
-				s.laneHead = 0
-			}
+		} else if s.lane.Len() > 0 {
+			slot = s.lane.Pop()
 			if s.pool[slot].idx != inLane {
 				s.release(slot) // cancelled while queued
 				continue

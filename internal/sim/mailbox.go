@@ -6,8 +6,8 @@ package sim
 // calendar, preserving determinism.
 type Mailbox struct {
 	sim     *Sim
-	vals    []any
-	waiters []*mboxWaiter
+	vals    Queue[any]
+	waiters Queue[*mboxWaiter]
 }
 
 type mboxWaiter struct {
@@ -21,26 +21,24 @@ type mboxWaiter struct {
 func NewMailbox(s *Sim) *Mailbox { return &Mailbox{sim: s} }
 
 // Len returns the number of queued (unconsumed) values.
-func (m *Mailbox) Len() int { return len(m.vals) }
+func (m *Mailbox) Len() int { return m.vals.Len() }
 
 // Send enqueues v and, if a receiver is waiting, schedules its wake-up at
 // the current time.
 func (m *Mailbox) Send(v any) {
-	m.vals = append(m.vals, v)
+	m.vals.Push(v)
 	m.dispatch()
 }
 
 // dispatch pairs queued values with queued waiters.
 func (m *Mailbox) dispatch() {
-	for len(m.vals) > 0 && len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	for m.vals.Len() > 0 && m.waiters.Len() > 0 {
+		w := m.waiters.Pop()
 		if w.removed {
 			continue
 		}
 		w.removed = true
-		v := m.vals[0]
-		m.vals = m.vals[1:]
+		v := m.vals.Pop()
 		if w.hasTimer {
 			m.sim.Cancel(w.timer)
 			w.timer = EventID{} // drop the stale handle; the slot will be recycled
@@ -64,12 +62,10 @@ func (m *Mailbox) Recv(p *Proc) any {
 // TryRecv returns a queued value without blocking. ok is false if the
 // mailbox is empty.
 func (m *Mailbox) TryRecv() (any, bool) {
-	if len(m.vals) == 0 {
+	if m.vals.Len() == 0 {
 		return nil, false
 	}
-	v := m.vals[0]
-	m.vals = m.vals[1:]
-	return v, true
+	return m.vals.Pop(), true
 }
 
 // RecvTimeout blocks until a value arrives or d elapses. A negative d means
@@ -79,7 +75,7 @@ func (m *Mailbox) RecvTimeout(p *Proc, d Time) (any, bool) {
 		return v, true
 	}
 	w := &mboxWaiter{p: p}
-	m.waiters = append(m.waiters, w)
+	m.waiters.Push(w)
 	if d >= 0 {
 		w.hasTimer = true
 		w.timer = m.sim.After(d, func() {

@@ -2,13 +2,16 @@
 //
 // The kernel has two layers. The lower layer is a classic event calendar,
 // executed in (time, sequence) order by Run: a 4-ary heap of entries that
-// carry their own (time, sequence) key, and a FIFO lane for the events
-// scheduled for the current instant. The upper layer provides lightweight
-// simulated processes: ordinary Go functions that run on iter.Pull
-// coroutines under strict hand-off, so exactly one of them (or the Run
-// caller) is ever running. This keeps simulations fully deterministic while
-// letting model code be written in a natural blocking style (Sleep, Wait,
-// Acquire, ...).
+// carry their own (time, sequence) key, and a FIFO lane, a Queue, for the
+// events scheduled for the current instant. The upper layer provides
+// lightweight simulated processes: ordinary Go functions that run on
+// iter.Pull coroutines under strict hand-off, so exactly one of them (or the
+// Run caller) is ever running. This keeps simulations fully deterministic
+// while letting model code be written in a natural blocking style (Sleep,
+// Wait, Acquire, ...).
+//
+// Queue is also the one FIFO the rest of the model builds on: link flights,
+// router and qdisc backlogs, interrupt work and TCP send buffers.
 package sim
 
 import "fmt"

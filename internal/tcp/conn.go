@@ -42,9 +42,9 @@ type Conn struct {
 	maxRetx int
 	state   connState
 
-	// Send side. segs holds every data segment ever queued; indexes are
-	// sequence numbers.
-	segs      []*sndSeg
+	// Send side. segs holds the unacked data segments, sent or not, in
+	// sequence order: segment seq is segs.At(seq - sndUna).
+	segs      sim.Queue[sndSeg]
 	sndUna    int // first unacked seq
 	sndNxt    int // next never-sent seq
 	sacked    int // count of sacked segs in [sndUna, sndNxt)
@@ -94,7 +94,6 @@ type sndSeg struct {
 	msgSize int
 	tc      telemetry.Class
 	sentAt  sim.Time
-	acked   bool
 	sacked  bool
 	rtx     bool // ever retransmitted (Karn)
 	sent    bool
@@ -198,15 +197,11 @@ func (c *Conn) EnqueueTC(meta any, size int, tc telemetry.Class) {
 			chunk = 1 // zero-length app message still needs a carrier
 		}
 		remaining -= chunk
-		seg := &sndSeg{payload: chunk, tc: tc}
 		if remaining <= 0 {
-			seg.meta = meta
-			seg.msgSize = size
-		}
-		c.segs = append(c.segs, seg)
-		if remaining <= 0 {
+			c.segs.Push(sndSeg{payload: chunk, tc: tc, meta: meta, msgSize: size})
 			break
 		}
+		c.segs.Push(sndSeg{payload: chunk, tc: tc})
 	}
 	c.trySend()
 }
@@ -219,7 +214,7 @@ func (c *Conn) Close() {
 		return
 	}
 	c.finQueued = true
-	c.finSeq = len(c.segs)
+	c.finSeq = c.sndEnd()
 	c.trySend()
 }
 
@@ -262,6 +257,9 @@ func (c *Conn) appendSacks(buf []int) []int {
 	return buf
 }
 
+// sndEnd returns the sequence number the next queued segment will get.
+func (c *Conn) sndEnd() int { return c.sndUna + c.segs.Len() }
+
 // flight returns outstanding unacked, un-sacked segments.
 func (c *Conn) flight() int { return c.sndNxt - c.sndUna - c.sacked }
 
@@ -271,13 +269,13 @@ func (c *Conn) trySend() {
 	if c.state != stEstablished && c.state != stFinWait {
 		return
 	}
-	for c.sndNxt < len(c.segs) &&
+	for c.sndNxt < c.sndEnd() &&
 		float64(c.flight()) < c.cwnd &&
 		c.sndNxt-c.sndUna < c.rwndSegs {
 		c.transmit(c.sndNxt)
 		c.sndNxt++
 	}
-	if c.finQueued && c.state == stEstablished && c.sndUna == len(c.segs) && c.sndNxt == len(c.segs) {
+	if c.finQueued && c.state == stEstablished && c.segs.Len() == 0 && c.sndNxt == c.sndUna {
 		c.state = stFinWait
 		c.sendControl(segFIN)
 		c.armRTO()
@@ -289,7 +287,7 @@ func (c *Conn) trySend() {
 
 // transmit puts segment seq on the wire.
 func (c *Conn) transmit(seq int) {
-	s := c.segs[seq]
+	s := c.segs.At(seq - c.sndUna)
 	if s.sent {
 		s.rtx = true
 		c.Retransmits++
@@ -431,20 +429,21 @@ func (c *Conn) handleAck(seg *segment) {
 	}
 	// Record SACK information.
 	for _, sq := range seg.sacks {
-		if sq >= c.sndUna && sq < len(c.segs) && !c.segs[sq].acked && !c.segs[sq].sacked {
-			c.segs[sq].sacked = true
-			c.sacked++
+		if i := sq - c.sndUna; i >= 0 && i < c.segs.Len() {
+			if s := c.segs.At(i); !s.sacked {
+				s.sacked = true
+				c.sacked++
+			}
 		}
 	}
 	switch {
 	case seg.ack > c.sndUna:
 		newly := seg.ack - c.sndUna
-		for i := c.sndUna; i < seg.ack; i++ {
-			s := c.segs[i]
+		for i := 0; i < newly; i++ {
+			s := c.segs.Pop()
 			if s.sacked {
 				c.sacked--
 			}
-			s.acked = true
 			if !s.rtx {
 				c.srttSample(s.sentAt) // Karn: never sample retransmitted segments
 			}
@@ -493,8 +492,7 @@ func (c *Conn) retransmitHole() {
 		c.rtxScan = c.sndUna
 	}
 	for c.rtxScan < c.recovPt {
-		s := c.segs[c.rtxScan]
-		if !s.acked && !s.sacked {
+		if !c.segs.At(c.rtxScan - c.sndUna).sacked {
 			c.transmit(c.rtxScan)
 			c.rtxScan++
 			c.armRTO()
@@ -583,7 +581,7 @@ func (c *Conn) onRTO() {
 		c.armRTO()
 		return
 	case stFinWait:
-		if c.sndUna >= len(c.segs) {
+		if c.segs.Len() == 0 {
 			c.sendControl(segFIN)
 			c.armRTO()
 			return
@@ -596,7 +594,7 @@ func (c *Conn) onRTO() {
 	c.cwnd = 1
 	c.inRecov = false
 	c.dupAcks = 0
-	if c.sndUna < len(c.segs) && c.sndUna < c.sndNxt {
+	if c.segs.Len() > 0 && c.sndUna < c.sndNxt {
 		c.transmit(c.sndUna)
 	}
 	c.armRTO()
@@ -604,7 +602,7 @@ func (c *Conn) onRTO() {
 
 // maybeFinish completes an orderly close when both directions are done.
 func (c *Conn) maybeFinish() {
-	if c.state == stFinWait && c.sndUna >= len(c.segs) && c.finAcked() {
+	if c.state == stFinWait && c.segs.Len() == 0 && c.finAcked() {
 		c.teardown(false)
 		return
 	}
