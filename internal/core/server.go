@@ -74,9 +74,13 @@ func (c *Cluster) retryBackoff(attempt int) sim.Time {
 // throughput; lock failures abort, wait the retry delay, and re-execute
 // (§2.3); the spec's intentional rollbacks are terminal. Fault-induced
 // aborts — a block fetch that kept timing out, a disk read that kept
-// failing — take the same release-and-delayed-retry path as lock failures:
-// the transaction's effects were rolled back, and the fault window may have
-// passed by the time the retry runs.
+// failing — take the same release-and-delayed-retry path as lock failures,
+// and the fault window may have passed by the time the retry runs. An abort
+// (db.Node.Abort) releases the transaction's locks and recycles the rows it
+// deleted, so the deletions stand. It undoes nothing else: rows it inserted
+// stay in their index, and its tpcc attribute writes (district next order
+// id, stock quantities, carrier and delivery marks) stay written. ROADMAP.md
+// item 2 plans the undo.
 func (c *Cluster) executeWithRetry(p *sim.Proc, n *node, req tpcc.Request) bool {
 	for attempt := 0; ; attempt++ {
 		err := c.Eng.Execute(p, n.dbn, req, n.workerRnd)

@@ -26,8 +26,8 @@ func BenchmarkSchedule(b *testing.B) {
 }
 
 // standTimers schedules a standing population of 1024 far-future timers,
-// the regime router/link calendars run in: every push and pop of a heap
-// entry churns through a populated heap.
+// the regime router/link calendars run in: retransmission timers and long
+// waits stand far ahead while the near events come and go.
 func standTimers(s *Sim) {
 	const depth = 1024
 	fn := func() {}
@@ -36,8 +36,8 @@ func standTimers(s *Sim) {
 	}
 }
 
-// BenchmarkScheduleDepth exercises heap movement over the standing
-// population of standTimers.
+// BenchmarkScheduleDepth measures the schedule→fire round trip over the
+// standing population of standTimers, which a near event must not pay for.
 func BenchmarkScheduleDepth(b *testing.B) {
 	s := New()
 	n := 0
@@ -87,6 +87,33 @@ func BenchmarkScheduleNow(b *testing.B) {
 	b.ResetTimer()
 	s.After(Time(1), arrive)
 	s.RunAll()
+}
+
+// BenchmarkScheduleBurst measures events that fall due together in a large
+// burst, as ten thousand processes sleeping in step do (TestManyProcsScale):
+// bursts of 10,000 events due at one future instant, each scheduled and
+// then run. One event per op; taking the burst's events in schedule order
+// must cost O(1) each, not a scan of the burst per event.
+func BenchmarkScheduleBurst(b *testing.B) {
+	const burst = 10000
+	s := New()
+	fn := func() {}
+	run := func(n int) {
+		t := s.Now() + Millisecond
+		for i := 0; i < n; i++ {
+			s.At(t, fn)
+		}
+		s.RunAll()
+	}
+	// Grow the pool, the lane and every bucket a burst can land in.
+	for i := 0; i < 64; i++ {
+		run(burst)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += burst {
+		run(min(burst, b.N-n))
+	}
 }
 
 // BenchmarkCancel measures the arm/disarm timer pattern (every TCP segment
@@ -172,15 +199,17 @@ func BenchmarkResourceHandOver(b *testing.B) {
 	s.RunAll()
 }
 
-// TestScheduleSteadyStateAllocs pins the tentpole property: once the pool has
-// grown to the working population, schedule/fire (for a later instant or the
-// current one) and schedule/cancel run without allocating, and so does a
-// Resource handing its server to a queued continuation or process, and a
-// Mailbox send taken without blocking.
+// TestScheduleSteadyStateAllocs pins the tentpole property: once the pool and
+// the calendar's buckets have grown to the working population,
+// schedule/fire (for a later instant or the current one) and schedule/cancel
+// (near, or far ahead as a retransmission timer) run without allocating, and
+// so do an advance that moves several due events into the lane, a Resource
+// handing its server to a queued continuation or process, and a Mailbox send
+// taken without blocking.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	s := New()
 	fn := func() {}
-	// Warm the pool and heap beyond anything the loop below needs.
+	// Warm the pool beyond anything the loop below needs.
 	ids := make([]EventID, 64)
 	for i := range ids {
 		ids[i] = s.After(Time(i+1), fn)
@@ -196,11 +225,37 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 		t.Errorf("schedule+cancel: %v allocs/op, want 0", avg)
 	}
 
+	// An RTO-style timer armed far ahead, in a high bucket, and cancelled.
+	if avg := testing.AllocsPerRun(200, func() {
+		id := s.After(Time(1)<<30, fn)
+		s.Cancel(id)
+	}); avg != 0 {
+		t.Errorf("far schedule+cancel: %v allocs/op, want 0", avg)
+	}
+
 	if avg := testing.AllocsPerRun(200, func() {
 		s.After(Time(1), fn)
 		s.RunAll()
 	}); avg != 0 {
 		t.Errorf("schedule+fire: %v allocs/op, want 0", avg)
+	}
+
+	// An advance that refiles a bucket: three events due together move into
+	// the lane, and a fourth, one time unit later, into a lower bucket. The
+	// clock's advance changes which buckets an op uses, so every bucket an
+	// op can reach is warmed first.
+	advance := func() {
+		for i := 0; i < 3; i++ {
+			s.After(Time(1000), fn)
+		}
+		s.After(Time(1001), fn)
+		s.RunAll()
+	}
+	for i := 0; i < 1024; i++ {
+		advance()
+	}
+	if avg := testing.AllocsPerRun(200, advance); avg != 0 {
+		t.Errorf("advance into the lane: %v allocs/op, want 0", avg)
 	}
 
 	if avg := testing.AllocsPerRun(200, func() {

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -10,11 +13,11 @@ import (
 // free list; gen distinguishes incarnations of the same slot so that a held
 // EventID for a fired or cancelled event can never act on the slot's next
 // tenant (the classic ABA hazard of free-listed handles). The event's time
-// and sequence number live in its heap entry, not here.
+// and sequence number live in its bucket entry, not here.
 type event struct {
 	fn  func()
 	gen uint32
-	idx int32 // position in the heap, inLane, or the free-list link (see below)
+	idx int32 // bucket and position (see bucketIdx), inLane, or the free-list link
 }
 
 const (
@@ -24,7 +27,20 @@ const (
 	noSlot = int32(-1)
 	// inLane marks a live slot queued in the same-instant lane.
 	inLane = int32(-2)
+	// bucketBits low bits of a bucketed slot's idx number its bucket; the
+	// bits above them hold its position in the bucket.
+	bucketBits = 6
 )
+
+// bucketIdx encodes bucket b and position pos as a bucketed slot's idx. It
+// panics rather than wrap when pos does not fit in the bits above the
+// bucket number.
+func bucketIdx(b, pos int) int32 {
+	if pos >= 1<<(31-bucketBits) {
+		panic("sim: calendar bucket full: more than 2^25 events in one bucket")
+	}
+	return int32(pos<<bucketBits | b)
+}
 
 // EventID identifies a scheduled event so it can be cancelled. It is a value
 // (slot index + generation), not a pointer: holding an EventID after the
@@ -35,17 +51,12 @@ type EventID struct {
 	gen  uint32
 }
 
-// entry is one element of the calendar heap. It carries its own (time, seq)
-// key, so a comparison reads the heap array alone and never the pool.
+// entry is one event of a calendar bucket. It carries its own (time, seq)
+// key, so a scan of a bucket reads the bucket alone and never the pool.
 type entry struct {
 	t    Time
-	seq  uint64 // tie-breaker for determinism
+	seq  uint64 // schedule order, the tie-breaker at one instant
 	slot int32
-}
-
-// less orders heap entries by (time, seq).
-func (a *entry) less(b *entry) bool {
-	return a.t < b.t || a.t == b.t && a.seq < b.seq
 }
 
 // Sim is a discrete-event simulation. The zero value is not usable; create
@@ -55,12 +66,16 @@ type Sim struct {
 	seq  uint64
 	pool []event
 	free int32 // head of the free-slot list (linked through idx), noSlot if empty
-	// heap is a 4-ary implicit heap of the events due after the instant
-	// at which they were scheduled. A 4-ary layout does about half the
-	// levels of a binary heap.
-	heap []entry
-	// lane queues, in schedule order, the slots of the events scheduled
-	// for the current instant, laneLive of them not cancelled.
+	// buckets hold the events due after now, unsorted: one due at t sits
+	// in buckets[bits.Len64(t ^ last)], where last is the instant the
+	// clock last advanced to, so bucket b spans the times that first
+	// differ from last in bit b-1. filled has bit b set while buckets[b]
+	// is not empty.
+	buckets [64][]entry
+	filled  uint64
+	last    Time
+	// lane queues, in (time, seq) order, the slots of the events due at
+	// the current instant, laneLive of them not cancelled.
 	lane     Queue[int32]
 	laneLive int
 	stopped  bool
@@ -99,7 +114,13 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) EventCount() uint64 { return s.nEvents }
 
 // Pending returns the number of scheduled (not yet fired) events.
-func (s *Sim) Pending() int { return len(s.heap) + s.laneLive }
+func (s *Sim) Pending() int {
+	n := s.laneLive
+	for f := s.filled; f != 0; f &= f - 1 {
+		n += len(s.buckets[bits.TrailingZeros64(f)])
+	}
+	return n
+}
 
 // alloc takes a slot off the free list, growing the pool if it is empty.
 // Slot generations start at 1 so the zero EventID never matches a live slot.
@@ -126,9 +147,9 @@ func (s *Sim) release(slot int32) {
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // that is always a model bug. An event for the current instant joins the
-// same-instant lane, which needs no sequence number: every event already in
-// the heap for this instant was scheduled before the clock reached it, so
-// it precedes the whole lane, and the lane fires in schedule order.
+// tail of the same-instant lane, which needs no sequence number: every event
+// already due at this instant was scheduled earlier, and the lane holds it
+// ahead.
 func (s *Sim) At(t Time, fn func()) EventID {
 	if t <= s.now {
 		if t < s.now {
@@ -145,10 +166,8 @@ func (s *Sim) At(t Time, fn func()) EventID {
 	slot := s.alloc()
 	e := &s.pool[slot]
 	e.fn = fn
-	i := int32(len(s.heap))
-	s.heap = append(s.heap, entry{t: t, seq: s.seq, slot: slot})
+	s.file(entry{t: t, seq: s.seq, slot: slot})
 	s.seq++
-	s.siftUp(i)
 	return EventID{slot: slot, gen: e.gen}
 }
 
@@ -184,7 +203,7 @@ func (s *Sim) Cancel(id EventID) {
 		s.laneLive--
 		return
 	}
-	s.heapRemove(e.idx)
+	s.remove(e.idx)
 	s.release(id.slot)
 }
 
@@ -195,81 +214,80 @@ func (s *Sim) Scheduled(id EventID) bool {
 	return id.slot >= 0 && int(id.slot) < len(s.pool) && s.pool[id.slot].gen == id.gen
 }
 
-// heapPopRoot removes the root entry and returns its slot.
-func (s *Sim) heapPopRoot() int32 {
-	root := s.heap[0].slot
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	if last > 0 {
-		s.siftDown(0)
-	}
-	return root
+// file appends e to its bucket and records the bucket and position in the
+// slot's idx.
+func (s *Sim) file(e entry) {
+	b := bits.Len64(uint64(e.t ^ s.last))
+	bk := &s.buckets[b]
+	s.pool[e.slot].idx = bucketIdx(b, len(*bk))
+	*bk = append(*bk, e)
+	s.filled |= 1 << b
 }
 
-// heapRemove removes the entry at heap position i.
-func (s *Sim) heapRemove(i int32) {
-	last := int32(len(s.heap) - 1)
-	if i == last {
-		s.heap = s.heap[:last]
-		return
+// remove swap-removes the bucketed event whose slot has idx i: the bucket's
+// last entry takes its place.
+func (s *Sim) remove(i int32) {
+	b, pos := i&(1<<bucketBits-1), i>>bucketBits
+	bk := &s.buckets[b]
+	n := int32(len(*bk) - 1)
+	if pos != n {
+		(*bk)[pos] = (*bk)[n]
+		s.pool[(*bk)[pos].slot].idx = i
 	}
-	moved := s.heap[last].slot
-	s.heap[i] = s.heap[last]
-	s.heap = s.heap[:last]
-	// The moved entry may need to travel either direction.
-	s.siftDown(i)
-	if s.heap[i].slot == moved {
-		s.siftUp(i)
+	*bk = (*bk)[:n]
+	if n == 0 {
+		s.filled &^= 1 << b
 	}
 }
 
-// siftUp restores the heap property from position i toward the root.
-func (s *Sim) siftUp(i int32) {
-	h := s.heap
-	x := h[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !x.less(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		s.pool[h[i].slot].idx = i
-		i = parent
+// advance moves the clock to the next instant with a bucketed event and
+// returns the slot of the first event due then, taken out of the buckets.
+// It returns noSlot, and changes nothing, if no event is due by the
+// horizon. The lane must be empty.
+//
+// The next instant m is the earliest time in the lowest non-empty bucket: a
+// lower bucket shares a longer prefix with last, and so holds earlier
+// times. A lone entry there is the event. Otherwise the bucket is refiled
+// against m. Its entries agree with m above bit b-1 and, being no earlier,
+// in that bit too, so each entry due after m lands in a strictly lower
+// bucket, and an entry moves at most 63 times in all. The entries due at m
+// enter the empty lane in seq order, the first of them to fire now, so the
+// lane keeps the (time, seq) order; the buckets above b keep their entries,
+// which differ from m where they differed from last.
+func (s *Sim) advance() int32 {
+	if s.filled == 0 {
+		return noSlot
 	}
-	h[i] = x
-	s.pool[x.slot].idx = i
-}
-
-// siftDown restores the heap property from position i toward the leaves.
-func (s *Sim) siftDown(i int32) {
-	h := s.heap
-	n := int32(len(h))
-	x := h[i]
-	for {
-		first := i<<2 + 1 // leftmost child
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h[c].less(&h[best]) {
-				best = c
-			}
-		}
-		if !h[best].less(&x) {
-			break
-		}
-		h[i] = h[best]
-		s.pool[h[i].slot].idx = i
-		i = best
+	b := bits.TrailingZeros64(s.filled)
+	bk := s.buckets[b]
+	m := bk[0].t
+	for _, e := range bk[1:] {
+		m = min(m, e.t)
 	}
-	h[i] = x
-	s.pool[x.slot].idx = i
+	if m > s.horizon {
+		return noSlot
+	}
+	s.now, s.last = m, m
+	s.buckets[b] = bk[:0]
+	s.filled &^= 1 << b
+	if len(bk) == 1 {
+		return bk[0].slot
+	}
+	due := bk[:0] // compacted in place: nothing refiles into bucket b
+	for _, e := range bk {
+		if e.t == m {
+			due = append(due, e)
+		} else {
+			s.file(e)
+		}
+	}
+	slices.SortFunc(due, func(x, y entry) int { return cmp.Compare(x.seq, y.seq) })
+	for _, e := range due[1:] {
+		s.pool[e.slot].idx = inLane
+		s.lane.Push(e.slot)
+	}
+	s.laneLive += len(due) - 1
+	return due[0].slot
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -378,24 +396,21 @@ func (s *Sim) drive(self *Proc) {
 			s.handOff(self)
 			return
 		}
-		// Events fire in (time, seq) order: first the heap's events for the
-		// current instant, then the lane, then the heap's next instant.
+		// Events fire in (time, seq) order: the lane holds the current
+		// instant's, in that order, and the buckets only later ones.
 		if s.stopped || s.now > s.horizon {
 			s.next = s.caller
 			continue
 		}
 		var slot int32
-		if h := s.heap; len(h) > 0 && (h[0].t == s.now || s.lane.Len() == 0 && h[0].t <= s.horizon) {
-			s.now = h[0].t
-			slot = s.heapPopRoot()
-		} else if s.lane.Len() > 0 {
+		if s.lane.Len() > 0 {
 			slot = s.lane.Pop()
 			if s.pool[slot].idx != inLane {
 				s.release(slot) // cancelled while queued
 				continue
 			}
 			s.laneLive--
-		} else {
+		} else if slot = s.advance(); slot == noSlot {
 			s.next = s.caller
 			continue
 		}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -198,4 +200,20 @@ func TestEventCount(t *testing.T) {
 	if s.EventCount() != 7 {
 		t.Fatalf("EventCount = %d, want 7", s.EventCount())
 	}
+}
+
+// TestBucketIdxOverflowPanics: a bucket position too large for a slot's idx
+// panics with a message instead of wrapping into another bucket's encoding
+// or a negative sentinel.
+func TestBucketIdxOverflowPanics(t *testing.T) {
+	const maxPos = 1<<(31-bucketBits) - 1
+	if got := bucketIdx(63, maxPos); got != math.MaxInt32 {
+		t.Fatalf("bucketIdx(63, %d) = %d, want %d", maxPos, got, math.MaxInt32)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "calendar bucket") {
+			t.Fatalf("bucketIdx past the largest position: recovered %v, want a calendar bucket panic", r)
+		}
+	}()
+	bucketIdx(5, maxPos+1)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"testing"
@@ -194,148 +195,266 @@ func TestPooledCalendarStress(t *testing.T) {
 
 // TestCalendarOrderOracle checks the calendar against a reference model.
 // Callbacks schedule same-instant events (After(0), At(Now())) among future
-// ones with exact ties, cancel random IDs (live in the heap, live in the
+// ones with exact ties, cancel random IDs (live in a bucket, live in the
 // same-instant lane, fired, or already cancelled, some twice) and Stop in
 // the middle of an instant; the Run caller resumes with random horizons,
 // some before now. Every fired event must be the reference model's next
 // (time, schedule order), and Pending and Scheduled must agree with the
-// model after every event and every Run.
+// model after every event and every Run. Events here fall 0–4 ns ahead, so
+// they stay in the lowest buckets; TestCalendarFarOracle covers the rest.
 func TestCalendarOrderOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		calendarOracle(t, seed, false)
+	}
+}
+
+// TestCalendarFarOracle runs the reference model of TestCalendarOrderOracle
+// over the whole bucket range: delays drawn log-uniformly over 2^0–2^40 ns,
+// ties at far instants, pairs of events straddling a power of two (the clock
+// at 2^k−1, the next event at 2^k), cancels in high buckets, Run horizons
+// that fall between the next event and the one before and are followed by a
+// schedule in that gap, and Stops right after an advance has moved several
+// due events into the lane. Each case must occur, so the test is not inert.
+func TestCalendarFarOracle(t *testing.T) {
+	var cov oracleCoverage
+	for seed := uint64(1); seed <= 40; seed++ {
+		c := calendarOracle(t, seed, true)
+		cov.farTies += c.farTies
+		cov.straddles += c.straddles
+		cov.highCancels += c.highCancels
+		cov.gapSchedules += c.gapSchedules
+		cov.laneStops += c.laneStops
+	}
+	t.Logf("%+v", cov)
+	if cov.farTies < 100 || cov.straddles < 20 || cov.highCancels < 100 || cov.gapSchedules < 100 || cov.laneStops < 20 {
+		t.Fatalf("oracle cases too rare: %+v", cov)
+	}
+}
+
+// oracleCoverage counts the cases of TestCalendarFarOracle that occurred.
+type oracleCoverage struct {
+	farTies      int // events fired at the instant of the previous one, both scheduled 2^16 ns or more ahead
+	straddles    int // events fired at 2^k right after one at 2^k−1
+	highCancels  int // cancels of a live event in bucket 20 or above
+	gapSchedules int // schedules by the Run caller between a horizon and the next event
+	laneStops    int // Stops with events moved from a bucket still waiting in the lane
+}
+
+// calendarOracle runs one seed of the calendar against the reference model.
+// With far unset, events fall 0–4 ns ahead and horizons −1–4 ns past now;
+// with far set, delays and horizons are log-uniform up to 2^40 ns, and the
+// far-only cases of oracleCoverage are driven on purpose.
+func calendarOracle(t *testing.T, seed uint64, far bool) oracleCoverage {
+	t.Helper()
 	type ref struct {
 		t       Time
-		order   int // schedule order
+		at      Time // the clock when it was scheduled
+		order   int  // schedule order
 		id      EventID
 		pending bool
 	}
-	for seed := uint64(1); seed <= 20; seed++ {
-		s := New()
-		x := seed*2654435761 + 4242
-		next := func(n int) int {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			return int(x % uint64(n))
+	s := New()
+	x := seed*2654435761 + 4242
+	if far {
+		x += 99991
+	}
+	next := func(n int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int(x % uint64(n))
+	}
+	delay := func() Time {
+		if !far {
+			return Time(next(4))
 		}
-		var evs []*ref
-		live := 0
-		var fired []*ref
-		stopped := false
-		var horizon Time
-		check := func(where string) {
-			t.Helper()
-			if s.Pending() != live {
-				t.Fatalf("seed %d, %s at %v: Pending() = %d, model %d", seed, where, s.Now(), s.Pending(), live)
-			}
-			for _, r := range evs {
-				if s.Scheduled(r.id) != r.pending {
-					t.Fatalf("seed %d, %s at %v: Scheduled(event %d) = %v, model %v",
-						seed, where, s.Now(), r.order, !r.pending, r.pending)
-				}
-			}
+		k := next(41)
+		return Time(1)<<k + Time(next(1<<k))
+	}
+	var cov oracleCoverage
+	var evs []*ref
+	live := 0
+	var fired []*ref
+	stopped := false
+	var horizon Time
+	check := func(where string) {
+		t.Helper()
+		if s.Pending() != live {
+			t.Fatalf("seed %d, %s at %v: Pending() = %d, model %d", seed, where, s.Now(), s.Pending(), live)
 		}
-		var schedule func(at Time)
-		fire := func(r *ref) {
-			if !r.pending {
-				t.Fatalf("seed %d: event %d fired although fired or cancelled", seed, r.order)
+		for _, r := range evs {
+			if s.Scheduled(r.id) != r.pending {
+				t.Fatalf("seed %d, %s at %v: Scheduled(event %d) = %v, model %v",
+					seed, where, s.Now(), r.order, !r.pending, r.pending)
 			}
-			for _, o := range evs {
-				if o.pending && (o.t < r.t || o.t == r.t && o.order < r.order) {
-					t.Fatalf("seed %d: event %d (t=%v) fired before event %d (t=%v)", seed, r.order, r.t, o.order, o.t)
-				}
-			}
-			if s.Now() != r.t || r.t > horizon {
-				t.Fatalf("seed %d: event %d for %v fired at %v, horizon %v", seed, r.order, r.t, s.Now(), horizon)
-			}
-			r.pending = false
-			live--
-			fired = append(fired, r)
-			if len(evs) < 1500 {
-				for k := 1 + next(4); k > 0; k-- {
-					switch next(6) {
-					case 0:
-						schedule(s.Now())
-					case 1: // At(Now()) rather than After(0)
-						schedule(-1)
-					case 2: // a tie with a pending event, wherever it sits
-						if o := evs[next(len(evs))]; o.pending {
-							schedule(o.t)
-						}
-					default:
-						schedule(s.Now() + Time(next(4)))
-					}
-				}
-			}
-			for k := next(3); k > 0; k-- {
-				var victim *ref
-				if next(2) == 0 {
-					// Prefer a pending event of this instant, often in the lane.
-					for _, o := range evs {
-						if o.pending && o.t == s.Now() {
-							victim = o
-							break
-						}
-					}
-				}
-				if victim == nil {
-					victim = evs[next(len(evs))]
-				}
-				for n := 1 + next(2); n > 0; n-- {
-					s.Cancel(victim.id)
-					if victim.pending {
-						victim.pending = false
-						live--
-					}
-				}
-			}
-			if next(10) == 0 {
-				s.Stop()
-				stopped = true
-			}
-			check("after an event")
-		}
-		schedule = func(at Time) {
-			r := &ref{t: at, order: len(evs), pending: true}
-			evs = append(evs, r)
-			live++
-			if at < 0 {
-				r.t = s.Now()
-				r.id = s.At(s.Now(), func() { fire(r) })
-			} else {
-				r.id = s.After(at-s.Now(), func() { fire(r) })
-			}
-		}
-		for i := 0; i < 20; i++ {
-			schedule(Time(next(5)))
-		}
-		for rounds := 0; s.Pending() > 0; rounds++ {
-			if rounds > 10000 {
-				t.Fatalf("seed %d: calendar never drained", seed)
-			}
-			before := s.Now()
-			if next(4) == 0 {
-				schedule(before) // from the Run caller, possibly after a Stop
-			}
-			h := before + Time(next(6)) - 1
-			horizon, stopped = h, false
-			end := s.Run(h)
-			check("after Run")
-			if s.Now() != end || end < before {
-				t.Fatalf("seed %d: Run(%v) from %v returned %v with Now() %v", seed, h, before, end, s.Now())
-			}
-			if !stopped && end != max(before, h) {
-				t.Fatalf("seed %d: Run(%v) from %v left the clock at %v", seed, h, before, end)
-			}
-		}
-		if len(fired) < 200 {
-			t.Fatalf("seed %d: only %d events fired; the oracle loop is inert", seed, len(fired))
-		}
-		if !sort.SliceIsSorted(fired, func(i, j int) bool {
-			a, b := fired[i], fired[j]
-			return a.t < b.t || a.t == b.t && a.order < b.order
-		}) {
-			t.Fatalf("seed %d: fire order differs from the (time, schedule order) sort", seed)
 		}
 	}
+	// nextDue returns the earliest pending time in the model, or -1.
+	nextDue := func() Time {
+		tn := Time(-1)
+		for _, o := range evs {
+			if o.pending && (tn < 0 || o.t < tn) {
+				tn = o.t
+			}
+		}
+		return tn
+	}
+	var schedule func(at Time)
+	fire := func(r *ref) {
+		if !r.pending {
+			t.Fatalf("seed %d: event %d fired although fired or cancelled", seed, r.order)
+		}
+		for _, o := range evs {
+			if o.pending && (o.t < r.t || o.t == r.t && o.order < r.order) {
+				t.Fatalf("seed %d: event %d (t=%v) fired before event %d (t=%v)", seed, r.order, r.t, o.order, o.t)
+			}
+		}
+		if s.Now() != r.t || r.t > horizon {
+			t.Fatalf("seed %d: event %d for %v fired at %v, horizon %v", seed, r.order, r.t, s.Now(), horizon)
+		}
+		if n := len(fired); n > 0 {
+			prev := fired[n-1]
+			if prev.t == r.t && prev.t-prev.at >= 1<<16 && r.t-r.at >= 1<<16 {
+				cov.farTies++
+			}
+			if prev.t == r.t-1 && r.t&(r.t-1) == 0 {
+				cov.straddles++
+			}
+		}
+		r.pending = false
+		live--
+		fired = append(fired, r)
+		if len(evs) < 1500 {
+			kinds := 6
+			if far {
+				kinds++
+			}
+			for k := 1 + next(4); k > 0; k-- {
+				switch next(kinds) {
+				case 0:
+					schedule(s.Now())
+				case 1: // At(Now()) rather than After(0)
+					schedule(-1)
+				case 2: // a tie with a pending event, wherever it sits
+					if o := evs[next(len(evs))]; o.pending {
+						schedule(o.t)
+					}
+				case 6:
+					// Events at 2^k−1 and 2^k, and ties there.
+					k := bits.Len64(uint64(s.Now())) + next(3)
+					for n := next(3); n >= 0; n-- {
+						schedule(Time(1)<<k - 1)
+						schedule(Time(1) << k)
+					}
+				default:
+					schedule(s.Now() + delay())
+				}
+			}
+		}
+		for k := next(3); k > 0; k-- {
+			var victim *ref
+			if next(2) == 0 {
+				// Prefer a pending event of this instant, often in the lane.
+				for _, o := range evs {
+					if o.pending && o.t == s.Now() {
+						victim = o
+						break
+					}
+				}
+			}
+			if victim == nil {
+				victim = evs[next(len(evs))]
+			}
+			if e := s.pool[victim.id.slot]; victim.pending && e.idx >= 0 && e.idx&(1<<bucketBits-1) >= 20 {
+				cov.highCancels++
+			}
+			for n := 1 + next(2); n > 0; n-- {
+				s.Cancel(victim.id)
+				if victim.pending {
+					victim.pending = false
+					live--
+				}
+			}
+		}
+		// Events due now that were scheduled before now came from a bucket
+		// in the advance that fired r, and wait in the lane behind it.
+		moved := 0
+		for _, o := range evs {
+			if o.pending && o.t == s.Now() && o.at < o.t {
+				moved++
+			}
+		}
+		if next(10) == 0 || far && moved > 0 && next(3) == 0 {
+			s.Stop()
+			stopped = true
+			if moved > 0 {
+				cov.laneStops++
+			}
+		}
+		check("after an event")
+	}
+	schedule = func(at Time) {
+		r := &ref{t: at, at: s.Now(), order: len(evs), pending: true}
+		evs = append(evs, r)
+		live++
+		if at < 0 {
+			r.t = s.Now()
+			r.id = s.At(s.Now(), func() { fire(r) })
+		} else {
+			r.id = s.After(at-s.Now(), func() { fire(r) })
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if far {
+			schedule(delay())
+		} else {
+			schedule(Time(next(5)))
+		}
+	}
+	for rounds := 0; s.Pending() > 0; rounds++ {
+		if rounds > 10000 {
+			t.Fatalf("seed %d: calendar never drained", seed)
+		}
+		before := s.Now()
+		if next(4) == 0 {
+			schedule(before) // from the Run caller, possibly after a Stop
+		}
+		h := before + Time(next(6)) - 1
+		gap := false
+		if far {
+			h = before + delay()
+			// A horizon short of the next event, so that the clock stops
+			// between two events, and then a schedule into that gap.
+			if tn := nextDue(); tn > before+1 && next(2) == 0 {
+				h = before + 1 + Time(next(int(tn-before-1)))
+				gap = tn-h >= 2
+			}
+		}
+		horizon, stopped = h, false
+		end := s.Run(h)
+		check("after Run")
+		if s.Now() != end || end < before {
+			t.Fatalf("seed %d: Run(%v) from %v returned %v with Now() %v", seed, h, before, end, s.Now())
+		}
+		if !stopped && end != max(before, h) {
+			t.Fatalf("seed %d: Run(%v) from %v left the clock at %v", seed, h, before, end)
+		}
+		if gap && !stopped {
+			tn := nextDue()
+			schedule(end + 1 + Time(next(int(tn-end-1))))
+			cov.gapSchedules++
+		}
+	}
+	if len(fired) < 200 {
+		t.Fatalf("seed %d: only %d events fired; the oracle loop is inert", seed, len(fired))
+	}
+	if !sort.SliceIsSorted(fired, func(i, j int) bool {
+		a, b := fired[i], fired[j]
+		return a.t < b.t || a.t == b.t && a.order < b.order
+	}) {
+		t.Fatalf("seed %d: fire order differs from the (time, schedule order) sort", seed)
+	}
+	return cov
 }
 
 // TestManyProcsScale sanity-checks kernel throughput: ten thousand

@@ -1,9 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel has two layers. The lower layer is a classic event calendar,
-// executed in (time, sequence) order by Run: a 4-ary heap of entries that
-// carry their own (time, sequence) key, and a FIFO lane, a Queue, for the
-// events scheduled for the current instant. The upper layer provides
+// executed in (time, sequence) order by Run: 64 unsorted radix buckets of
+// entries that carry their own (time, sequence) key, for the events due
+// later, and a FIFO lane, a Queue, for the events due at the current
+// instant. The upper layer provides
 // lightweight simulated processes: ordinary Go functions that run on
 // iter.Pull coroutines under strict hand-off, so exactly one of them (or the
 // Run caller) is ever running. This keeps simulations fully deterministic
