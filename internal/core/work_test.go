@@ -1,0 +1,71 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"dclue/internal/sim"
+)
+
+// TestWorkPinned pins the deterministic work of four single runs at seed 1:
+// the events the kernel fired, its coroutine hand-offs and the metrics
+// fingerprint. The configurations are perfbench's three single-run
+// workloads and flt-failover's quick crash-and-restart run, the one that
+// kills processes mid-wait. A change that keeps every fingerprint but adds
+// or drops events or hand-offs fails here; one that changes the work on
+// purpose re-pins the table and says why in CHANGES.md.
+func TestWorkPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four full-size single runs")
+	}
+	cases := []struct {
+		name     string
+		params   func() Params
+		events   uint64
+		switches uint64
+		fp       string
+	}{
+		{"oltp-local", func() Params {
+			p := DefaultParams(4)
+			p.Affinity, p.Warehouses = 1.0, 32
+			p.Warmup, p.Measure = 50*sim.Second, 150*sim.Second
+			return p
+		}, 785859, 176408, "3a66852906e7577a"},
+		{"oltp-ipc", func() Params {
+			p := DefaultParams(8)
+			p.Affinity, p.Warehouses = 0.5, 32
+			p.Warmup, p.Measure = 50*sim.Second, 150*sim.Second
+			return p
+		}, 5548940, 441014, "c2013e1cf892d711"},
+		{"xtraffic-prio", func() Params {
+			p := DefaultParams(4)
+			p.NodesPerLata = 2
+			p.Affinity, p.Warehouses = 0.8, 32
+			p.CrossTrafficBps, p.CrossTrafficPriority = 600e6, true
+			p.Warmup, p.Measure = 50*sim.Second, 150*sim.Second
+			return p
+		}, 7091509, 407701, "eb22e47fcf5b2e1a"},
+		{"crash", func() Params {
+			p := DefaultParams(4)
+			p.NodesPerLata = 2
+			p.Affinity, p.Warehouses = 0.8, 24
+			p.Warmup, p.Measure = 40*sim.Second, 100*sim.Second
+			p.TimelineBucket = 5 * sim.Second
+			p.FaultSpec = "crash:dp1@65+0;restart:dp1@95+0"
+			return p
+		}, 1924745, 116490, "fa8bb82999f80c41"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.params()
+			p.Seed = 1
+			c := mustNew(t, p)
+			m := runOK(t, c)
+			got := fmt.Sprintf("%d / %d / %016x", c.Sim.EventCount(), c.Sim.Switches(), m.Fingerprint())
+			want := fmt.Sprintf("%d / %d / %s", tc.events, tc.switches, tc.fp)
+			if got != want {
+				t.Errorf("events / switches / fingerprint = %s, want %s", got, want)
+			}
+		})
+	}
+}
