@@ -172,11 +172,7 @@ func New(p Params) (*Cluster, error) {
 		WithExtraHosts:        p.CrossTrafficBps > 0,
 		PortSetup:             portSetup,
 	})
-	tcpCfg := tcp.DefaultConfig(p.Scale)
-	if p.DisableECN {
-		tcpCfg.ECN = false
-	}
-	c.Dom = tcp.NewDomain(c.Topo.Net, tcpCfg)
+	c.Dom = tcp.NewDomain(c.Topo.Net, tcp.DefaultConfig(p.Scale))
 
 	// Database catalog + TPC-C population.
 	c.Cat = db.NewCatalog(p.Nodes)
@@ -384,8 +380,8 @@ func (c *Cluster) attachEngine(n *node, frames int, opCosts *db.OpCosts) {
 	p := c.P
 	s := c.Sim
 	i := n.idx
-	n.initiator = iscsi.NewInitiator(s, n.cpu, p.iscsiCosts())
-	n.target = iscsi.NewTarget(s, n.cpu, p.iscsiCosts(), func(table int) *disk.Drive {
+	n.initiator = iscsi.NewInitiator(n.cpu, p.iscsiCosts())
+	n.target = iscsi.NewTarget(n.cpu, p.iscsiCosts(), func(table int) *disk.Drive {
 		return n.drives[table%len(n.drives)]
 	})
 	mkPager := func(costs *db.OpCosts, cache *db.BufferCache) *db.Pager {

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"dclue/internal/db"
 	"dclue/internal/faults"
@@ -18,17 +17,6 @@ import (
 	"dclue/internal/telemetry"
 	"dclue/internal/tpcc"
 	"dclue/internal/trace"
-)
-
-// GrowthRule selects how the database grows with cluster size (Fig 10).
-type GrowthRule int
-
-const (
-	// GrowthLinear follows TPC-C: warehouses proportional to throughput.
-	GrowthLinear GrowthRule = iota
-	// GrowthSqrtBeyond90K grows warehouses with the square root of
-	// throughput beyond 90 K tpm-C (unscaled), as in the paper's Fig 10.
-	GrowthSqrtBeyond90K
 )
 
 // Params configures one cluster simulation run. The zero value is not
@@ -42,12 +30,11 @@ type Params struct {
 
 	Affinity float64 // α: probability a query routes to its home server
 
-	// Workload sizing; zero values are derived from Nodes and Growth.
+	// Workload sizing; zero values are derived from Nodes.
 	Warehouses            int
 	Items                 int
 	CustomersPerDist      int
 	TerminalsPerWarehouse int
-	Growth                GrowthRule
 
 	// Network.
 	NodeLinkBps    float64  // server links (1 Gb/s unscaled)
@@ -78,9 +65,6 @@ type Params struct {
 
 	// FIFODisks disables the per-table elevator (ablation knob).
 	FIFODisks bool
-
-	// DisableECN turns off ECN on every TCP connection (ablation knob).
-	DisableECN bool
 
 	// WFQRouters replaces strict-priority scheduling at every router port
 	// with weighted fair queueing (equal weights), the interference remedy
@@ -324,23 +308,14 @@ func (p *Params) validate() (faults.Schedule, error) {
 	return sch, nil
 }
 
-// WarehouseCount applies the growth rule.
+// WarehouseCount returns the explicit Warehouses, or else TPC-C's linear
+// sizing. Fig 10's sub-linear rule is SqrtGrowthWarehouses, which sizes
+// that figure's runs.
 func (p *Params) WarehouseCount() int {
 	if p.Warehouses > 0 {
 		return p.Warehouses
 	}
-	linear := 40 * p.Nodes // ≈500 scaled tpm-C per node at 12.5 tpm-C/warehouse
-	if p.Growth == GrowthLinear {
-		return linear
-	}
-	// Fig 10: TPC-C sizing up to 90 K tpm-C (72 scaled warehouses), then
-	// warehouses grow as the square root of the additional throughput.
-	const kneeWh = 72
-	if linear <= kneeWh {
-		return linear
-	}
-	extra := float64(linear - kneeWh)
-	return kneeWh + int(math.Sqrt(20*extra))
+	return 40 * p.Nodes // ≈500 scaled tpm-C per node at 12.5 tpm-C/warehouse
 }
 
 // LataLayout splits nodes into LATAs of at most NodesPerLata.

@@ -42,18 +42,6 @@ func TestWarehouseCountRules(t *testing.T) {
 	if p.WarehouseCount() != 99 {
 		t.Fatal("explicit warehouse count not honored")
 	}
-	p.Warehouses = 0
-	p.Growth = GrowthSqrtBeyond90K
-	w := p.WarehouseCount()
-	if w >= 160 || w <= 72 {
-		t.Fatalf("sqrt growth gave %d, want between 72 and 160", w)
-	}
-	// Below the knee the rules agree.
-	q := DefaultParams(1)
-	q.Growth = GrowthSqrtBeyond90K
-	if q.WarehouseCount() != 40 {
-		t.Fatalf("sqrt growth below knee %d, want 40", q.WarehouseCount())
-	}
 }
 
 func TestSqrtGrowthWarehouses(t *testing.T) {

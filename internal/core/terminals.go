@@ -48,8 +48,8 @@ func (c *Cluster) terminal(p *sim.Proc, w, t int) {
 			p.Sleep(1 * sim.Second)
 			continue
 		}
-		inbox := sim.NewMailbox(p.Sim())
-		conn.SetOnMessage(func(m tcp.Message) { inbox.Send(m.Meta) })
+		var reply sim.Waiter // the pending request's; each request takes a fresh one
+		conn.SetOnMessage(func(m tcp.Message) { reply.Deliver(m.Meta) })
 
 		for _, ty := range businessSequence(r) {
 			// Keying + think time precede each transaction (spec shape,
@@ -65,6 +65,7 @@ func (c *Cluster) terminal(p *sim.Proc, w, t int) {
 			if c.tr != nil {
 				sp = c.tr.StartSpan(sent, w*c.P.TerminalsPerWarehouse+t)
 			}
+			reply = p.Waiter()
 			conn.Enqueue(clientReq{id: reqID, req: tpcc.Request{Type: ty, Warehouse: w, District: d}, span: sp},
 				tpcc.ReqBytes)
 			// Terminals wait out slow responses: abandoning a request whose
@@ -79,7 +80,7 @@ func (c *Cluster) terminal(p *sim.Proc, w, t int) {
 			if c.rec != nil {
 				stopLoss = 30 * sim.Second
 			}
-			if _, ok := inbox.RecvTimeout(p, stopLoss); !ok {
+			if _, ok := p.Await(stopLoss); !ok {
 				break
 			}
 			if c.measuring {

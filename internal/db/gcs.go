@@ -310,8 +310,8 @@ type GCS struct {
 	pendingFwd map[uint64]*fwdState
 
 	nextReq  uint64
-	pending  map[uint64]*sim.Mailbox
-	inflight map[BlockID][]*sim.Mailbox
+	pending  map[uint64]sim.Waiter
+	inflight map[BlockID][]sim.Waiter
 
 	// DeadlockTimeout bounds the blocking wait on a transaction's first
 	// contended lock; expiry is treated as a deadlock-suspected failure.
@@ -374,8 +374,8 @@ func NewGCS(s *sim.Sim, self int, cat *Catalog, host Host, cache *BufferCache,
 		costs:           costs,
 		dir:             make(map[BlockID]*dirEntry),
 		pendingFwd:      make(map[uint64]*fwdState),
-		pending:         make(map[uint64]*sim.Mailbox),
-		inflight:        make(map[BlockID][]*sim.Mailbox),
+		pending:         make(map[uint64]sim.Waiter),
+		inflight:        make(map[BlockID][]sim.Waiter),
 		DeadlockTimeout: 500 * sim.Millisecond,
 		MaxFetchRetries: 2,
 		CentralLogNode:  -1,
@@ -495,16 +495,15 @@ func (g *GCS) dispatch(from int, m Msg) {
 
 // wake completes a pending request.
 func (g *GCS) wake(reqID uint64, v any) {
-	if mb, ok := g.pending[reqID]; ok {
+	if w, ok := g.pending[reqID]; ok {
 		delete(g.pending, reqID)
-		mb.Send(v)
+		w.Deliver(v)
 	}
 }
 
-// newReq registers a pending request mailbox.
-func (g *GCS) newReq() (uint64, *sim.Mailbox) {
+// newReq registers a pending request, answered to p's Await.
+func (g *GCS) newReq(p *sim.Proc) uint64 {
 	g.nextReq++
-	mb := sim.NewMailbox(g.sim)
-	g.pending[g.nextReq] = mb
-	return g.nextReq, mb
+	g.pending[g.nextReq] = p.Waiter()
+	return g.nextReq
 }

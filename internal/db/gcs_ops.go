@@ -49,9 +49,8 @@ func (g *GCS) fetch(p *sim.Proc, blk BlockID, forWrite, create bool) error {
 	}
 	// Coalesce concurrent fetches of the same block.
 	if waiters, busy := g.inflight[blk]; busy {
-		mb := sim.NewMailbox(g.sim)
-		g.inflight[blk] = append(waiters, mb)
-		mb.Recv(p)
+		g.inflight[blk] = append(waiters, p.Waiter())
+		p.Await(-1)
 		g.host.Dispatch(p, g.costs.ResumeDispatch)
 		if f := g.cache.Lookup(blk); f != nil {
 			return nil
@@ -80,8 +79,8 @@ func (g *GCS) fetch(p *sim.Proc, blk BlockID, forWrite, create bool) error {
 	if err != nil {
 		// Failed fill: wake coalesced waiters so they retry (or fail) on
 		// their own behalf instead of parking forever.
-		for _, mb := range g.inflight[blk] {
-			mb.Send(nil)
+		for _, w := range g.inflight[blk] {
+			w.Deliver(nil)
 		}
 		delete(g.inflight, blk)
 		g.Stats.FetchFails++
@@ -93,8 +92,8 @@ func (g *GCS) fetch(p *sim.Proc, blk BlockID, forWrite, create bool) error {
 	if forWrite || create {
 		f.WriteOwner = true
 	}
-	for _, mb := range g.inflight[blk] {
-		mb.Send(nil)
+	for _, w := range g.inflight[blk] {
+		w.Deliver(nil)
 	}
 	delete(g.inflight, blk)
 	return nil
@@ -104,11 +103,12 @@ func (g *GCS) fetch(p *sim.Proc, blk BlockID, forWrite, create bool) error {
 // FetchTimeout when one is configured. On timeout the pending entry is
 // dropped so a late reply is ignored harmlessly (wake on an unknown id is a
 // no-op).
-func (g *GCS) recvReply(p *sim.Proc, reqID uint64, mb *sim.Mailbox) (any, bool) {
-	if g.FetchTimeout <= 0 {
-		return mb.Recv(p), true
+func (g *GCS) recvReply(p *sim.Proc, reqID uint64) (any, bool) {
+	timeout := g.FetchTimeout
+	if timeout <= 0 {
+		timeout = -1 // no bound
 	}
-	v, ok := mb.RecvTimeout(p, g.FetchTimeout)
+	v, ok := p.Await(timeout)
 	if !ok {
 		delete(g.pending, reqID)
 		g.Stats.FetchTimeouts++
@@ -135,9 +135,9 @@ func (g *GCS) currencyFetch(p *sim.Proc, blk BlockID) error {
 		}
 		if supplier >= 0 {
 			for attempt := 0; ; attempt++ {
-				reqID, mb := g.newReq()
+				reqID := g.newReq(p)
 				g.sendCtl(supplier, MsgBlkFwd{ReqID: reqID, DestReqID: reqID, Blk: blk, Requester: g.self})
-				v, ok := g.recvReply(p, reqID, mb)
+				v, ok := g.recvReply(p, reqID)
 				g.host.Dispatch(p, g.costs.ResumeDispatch)
 				if ok {
 					if v != "neg" {
@@ -156,9 +156,9 @@ func (g *GCS) currencyFetch(p *sim.Proc, blk BlockID) error {
 		return nil
 	}
 	for attempt := 0; ; attempt++ {
-		reqID, mb := g.newReq()
+		reqID := g.newReq(p)
 		g.sendCtl(master, MsgBlkReq{ReqID: reqID, Blk: blk, ForWrite: true, HaveCopy: true})
-		v, ok := g.recvReply(p, reqID, mb)
+		v, ok := g.recvReply(p, reqID)
 		g.host.Dispatch(p, g.costs.ResumeDispatch)
 		if ok {
 			if v != "neg" {
@@ -199,9 +199,9 @@ func (g *GCS) localMasterFetch(p *sim.Proc, blk BlockID, forWrite, create bool) 
 		return nil
 	}
 	// Step 3 with B == A: ask C directly, wait for the data.
-	reqID, mb := g.newReq()
+	reqID := g.newReq(p)
 	g.sendCtl(supplier, MsgBlkFwd{ReqID: reqID, DestReqID: reqID, Blk: blk, Requester: g.self})
-	v, ok := g.recvReply(p, reqID, mb)
+	v, ok := g.recvReply(p, reqID)
 	g.host.Dispatch(p, g.costs.ResumeDispatch)
 	if !ok || v == "neg" {
 		// Supplier lost the block (or the exchange timed out under faults)
@@ -223,9 +223,9 @@ func (g *GCS) localMasterFetch(p *sim.Proc, blk BlockID, forWrite, create bool) 
 // the stale id is dropped by wake) up to MaxFetchRetries times.
 func (g *GCS) remoteFetch(p *sim.Proc, blk BlockID, master int, forWrite, create bool) error {
 	for attempt := 0; ; attempt++ {
-		reqID, mb := g.newReq()
+		reqID := g.newReq(p)
 		g.sendCtl(master, MsgBlkReq{ReqID: reqID, Blk: blk, ForWrite: forWrite})
-		v, ok := g.recvReply(p, reqID, mb)
+		v, ok := g.recvReply(p, reqID)
 		g.host.Dispatch(p, g.costs.ResumeDispatch)
 		if !ok {
 			if attempt >= g.MaxFetchRetries {
@@ -460,12 +460,12 @@ func (g *GCS) acquireLock(p *sim.Proc, txn TxnRef, res ResourceID, mode LockMode
 		g.host.Execute(p, g.costs.LockRequest)
 		done := false
 		syncWait := false
-		mb := sim.NewMailbox(g.sim)
+		grant := p.Waiter()
 		g.locks.Request(res, txn, mode, func(w bool) {
 			done = true
 			syncWait = w
 			if w {
-				mb.Send(nil)
+				grant.Deliver(nil)
 			}
 		})
 		if done && !syncWait {
@@ -479,7 +479,7 @@ func (g *GCS) acquireLock(p *sim.Proc, txn TxnRef, res ResourceID, mode LockMode
 		}
 		g.Stats.LockWaits++
 		g.Stats.noteWait(res.Table)
-		if _, ok := mb.RecvTimeout(p, g.DeadlockTimeout); !ok {
+		if _, ok := p.Await(g.DeadlockTimeout); !ok {
 			g.locks.Cancel(res, txn)
 			g.Stats.LockFails++
 			g.Stats.noteFail(res.Table)
@@ -493,9 +493,9 @@ func (g *GCS) acquireLock(p *sim.Proc, txn TxnRef, res ResourceID, mode LockMode
 	}
 
 	// Remote master.
-	reqID, mb := g.newReq()
+	reqID := g.newReq(p)
 	g.sendCtl(master, MsgLockReq{ReqID: reqID, Res: res, Txn: txn, Mode: mode, NoWait: !wait})
-	v, ok := mb.RecvTimeout(p, g.DeadlockTimeout)
+	v, ok := p.Await(g.DeadlockTimeout)
 	g.host.Dispatch(p, g.costs.ResumeDispatch)
 	if !ok {
 		delete(g.pending, reqID)
@@ -581,9 +581,9 @@ func (g *GCS) writeLog(p *sim.Proc, size int) {
 		return
 	}
 	for attempt := 0; ; attempt++ {
-		reqID, mb := g.newReq()
+		reqID := g.newReq(p)
 		g.sendData(g.CentralLogNode, MsgLogWrite{ReqID: reqID, From: g.self, Size: size}, size)
-		_, ok := g.recvReply(p, reqID, mb)
+		_, ok := g.recvReply(p, reqID)
 		g.host.Dispatch(p, g.costs.ResumeDispatch)
 		if ok {
 			return
@@ -598,8 +598,8 @@ func (g *GCS) writeLog(p *sim.Proc, size int) {
 
 // writeLocalLog blocks until the local log device reports durability.
 func (g *GCS) writeLocalLog(p *sim.Proc, size int) {
-	mb := sim.NewMailbox(g.sim)
-	g.logDisk.Submit(size, func() { mb.Send(nil) })
-	mb.Recv(p)
+	durable := p.Waiter()
+	g.logDisk.Submit(size, func() { durable.Deliver(nil) })
+	p.Await(-1)
 	g.host.Dispatch(p, g.costs.ResumeDispatch)
 }

@@ -129,11 +129,11 @@ func (d *Drive) Submit(r *Request) {
 // Access is the blocking form of Submit for process context. It reports
 // whether the operation succeeded (false = transient injected I/O error).
 func (d *Drive) Access(p *sim.Proc, table int, block int64, size int, write bool) bool {
-	mb := sim.NewMailbox(p.Sim())
+	done := p.Waiter()
 	r := &Request{Table: table, Block: block, Size: size, Write: write,
-		Done: func() { mb.Send(nil) }}
+		Done: func() { done.Deliver(nil) }}
 	d.Submit(r)
-	mb.Recv(p)
+	p.Await(-1)
 	return !r.Failed
 }
 
@@ -330,17 +330,17 @@ func (l *LogDisk) SubmitRead(size int, done func()) {
 
 // Write blocks the calling process until the log write is durable.
 func (l *LogDisk) Write(p *sim.Proc, size int) {
-	mb := sim.NewMailbox(p.Sim())
-	l.Submit(size, func() { mb.Send(nil) })
-	mb.Recv(p)
+	durable := p.Waiter()
+	l.Submit(size, func() { durable.Deliver(nil) })
+	p.Await(-1)
 }
 
 // Read blocks the calling process until size bytes of log have been
 // scanned off the device.
 func (l *LogDisk) Read(p *sim.Proc, size int) {
-	mb := sim.NewMailbox(p.Sim())
-	l.SubmitRead(size, func() { mb.Send(nil) })
-	mb.Recv(p)
+	scanned := p.Waiter()
+	l.SubmitRead(size, func() { scanned.Deliver(nil) })
+	p.Await(-1)
 }
 
 // DefaultLogBatch bounds group commit to the device's queue depth; beyond

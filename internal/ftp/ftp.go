@@ -126,15 +126,15 @@ func (g *Generator) transfer(p *sim.Proc, size int, get bool) {
 		g.Failed++
 		return
 	}
-	inbox := sim.NewMailbox(p.Sim())
-	conn.SetOnMessage(func(m tcp.Message) { inbox.Send(m.Size) })
+	reply := p.Waiter()
+	conn.SetOnMessage(func(m tcp.Message) { reply.Deliver(m.Size) })
 	if get {
 		conn.Enqueue(reqGet{size: size}, 64)
 	} else {
 		conn.Enqueue(reqPut{size: size}, 64)
 		conn.Enqueue(ack{}, size) // the file itself
 	}
-	v, ok := inbox.RecvTimeout(p, 300*sim.Second)
+	v, ok := p.Await(300 * sim.Second)
 	if !ok || conn.IsReset() {
 		g.Failed++
 		conn.Close()

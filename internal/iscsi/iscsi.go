@@ -68,7 +68,6 @@ type respPDU struct {
 
 // Target serves local drives to remote initiators.
 type Target struct {
-	sim     *sim.Sim
 	cpu     tcp.Processor
 	costs   CostModel
 	drive   func(table int) *disk.Drive
@@ -77,8 +76,8 @@ type Target struct {
 }
 
 // NewTarget creates a target; drive selects the local drive for a table.
-func NewTarget(s *sim.Sim, cpu tcp.Processor, costs CostModel, drive func(table int) *disk.Drive) *Target {
-	return &Target{sim: s, cpu: cpu, costs: costs, drive: drive}
+func NewTarget(cpu tcp.Processor, costs CostModel, drive func(table int) *disk.Drive) *Target {
+	return &Target{cpu: cpu, costs: costs, drive: drive}
 }
 
 // Export additionally serves another node's drive enclosure through this
@@ -155,11 +154,10 @@ func (t *Target) serve(conn *tcp.Conn, cmd *cmdPDU) {
 
 // Initiator issues block requests to remote targets.
 type Initiator struct {
-	sim     *sim.Sim
 	cpu     tcp.Processor
 	costs   CostModel
 	conns   map[int]*tcp.Conn
-	pending map[uint64]*sim.Mailbox
+	pending map[uint64]sim.Waiter
 	nextID  uint64
 
 	// Timeout bounds the wait for a status PDU; 0 means wait forever (the
@@ -176,13 +174,12 @@ type Initiator struct {
 }
 
 // NewInitiator creates an initiator charging work to cpu.
-func NewInitiator(s *sim.Sim, cpu tcp.Processor, costs CostModel) *Initiator {
+func NewInitiator(cpu tcp.Processor, costs CostModel) *Initiator {
 	return &Initiator{
-		sim:     s,
 		cpu:     cpu,
 		costs:   costs,
 		conns:   make(map[int]*tcp.Conn),
-		pending: make(map[uint64]*sim.Mailbox),
+		pending: make(map[uint64]sim.Waiter),
 	}
 }
 
@@ -207,9 +204,9 @@ func (i *Initiator) HandleMessage(m tcp.Message) {
 	i.cpu.Process(i.costs.PerPDU+i.costs.CRCPerByte*float64(dataBytes), func() {
 		// A late response to a command the initiator already timed out and
 		// abandoned finds no pending entry and is dropped here.
-		if mb, ok := i.pending[resp.id]; ok {
+		if w, ok := i.pending[resp.id]; ok {
 			delete(i.pending, resp.id)
-			mb.Send(resp.err)
+			w.Deliver(resp.err)
 		}
 	})
 }
@@ -283,18 +280,15 @@ func (i *Initiator) doIssue(p *sim.Proc, node int, cmd *cmdPDU, wireBytes int) e
 	for attempt := 0; ; attempt++ {
 		i.nextID++
 		cmd.id = i.nextID
-		mb := sim.NewMailbox(i.sim)
-		i.pending[cmd.id] = mb
+		i.pending[cmd.id] = p.Waiter()
 		i.cpu.Process(i.costs.PerPDU+i.costs.CRCPerByte*float64(outBytes), func() {
 			conn.Enqueue(cmd, wireBytes)
 		})
-		var v any
-		recvOK := true
-		if i.Timeout > 0 {
-			v, recvOK = mb.RecvTimeout(p, i.Timeout)
-		} else {
-			v = mb.Recv(p)
+		timeout := i.Timeout
+		if timeout <= 0 {
+			timeout = -1 // no bound
 		}
+		v, recvOK := p.Await(timeout)
 		if !recvOK {
 			// Status PDU never came: drop the stale tag so a late response
 			// is ignored, and reissue.

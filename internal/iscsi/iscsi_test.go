@@ -32,10 +32,10 @@ func buildRig(t *testing.T, costs CostModel) *rig {
 	st1 := dom.NewStack(1, tcp.InstantProcessor{}, tcp.CostModel{})
 
 	drv := disk.NewDrive(s, disk.DefaultParams(1), rng.New(7))
-	tgt := NewTarget(s, tcp.InstantProcessor{}, costs, func(int) *disk.Drive { return drv })
+	tgt := NewTarget(tcp.InstantProcessor{}, costs, func(int) *disk.Drive { return drv })
 	st1.Listen(Port, tgt.Attach)
 
-	ini := NewInitiator(s, tcp.InstantProcessor{}, costs)
+	ini := NewInitiator(tcp.InstantProcessor{}, costs)
 	s.Spawn("dial", func(p *sim.Proc) {
 		c := tcp.Dial(p, st0, 1, Port, tcp.DialOptions{MaxRetx: 100})
 		if c == nil {
@@ -128,9 +128,9 @@ func TestSWCostsSlowerThanHW(t *testing.T) {
 		st1 := dom.NewStack(1, tcp.InstantProcessor{}, tcp.CostModel{})
 		slow := &cycleProcessor{s: s, hz: 1e8}
 		drv := disk.NewDrive(s, disk.DefaultParams(1), rng.New(7))
-		tgt := NewTarget(s, slow, costs, func(int) *disk.Drive { return drv })
+		tgt := NewTarget(slow, costs, func(int) *disk.Drive { return drv })
 		st1.Listen(Port, tgt.Attach)
-		ini := NewInitiator(s, slow, costs)
+		ini := NewInitiator(slow, costs)
 		var took sim.Time
 		s.Spawn("reader", func(p *sim.Proc) {
 			c := tcp.Dial(p, st0, 1, Port, tcp.DialOptions{})
@@ -160,6 +160,10 @@ func (c *cycleProcessor) Process(pathLen float64, done func()) {
 	c.s.After(sim.Time(pathLen/c.hz*float64(sim.Second)), done)
 }
 
+func (c *cycleProcessor) ProcessArg(pathLen float64, fn func(any), arg any) {
+	c.Process(pathLen, func() { fn(arg) })
+}
+
 // TestDemuxSharedConnection verifies the paper's two-connections-per-pair
 // layout: one storage connection carries node A's commands to B's target
 // AND B's responses to A's initiator, demuxed by PDU type.
@@ -175,10 +179,10 @@ func TestDemuxSharedConnection(t *testing.T) {
 
 	drv0 := disk.NewDrive(s, disk.DefaultParams(1), rng.New(1))
 	drv1 := disk.NewDrive(s, disk.DefaultParams(1), rng.New(2))
-	tgt0 := NewTarget(s, tcp.InstantProcessor{}, HWCosts(), func(int) *disk.Drive { return drv0 })
-	tgt1 := NewTarget(s, tcp.InstantProcessor{}, HWCosts(), func(int) *disk.Drive { return drv1 })
-	ini0 := NewInitiator(s, tcp.InstantProcessor{}, HWCosts())
-	ini1 := NewInitiator(s, tcp.InstantProcessor{}, HWCosts())
+	tgt0 := NewTarget(tcp.InstantProcessor{}, HWCosts(), func(int) *disk.Drive { return drv0 })
+	tgt1 := NewTarget(tcp.InstantProcessor{}, HWCosts(), func(int) *disk.Drive { return drv1 })
+	ini0 := NewInitiator(tcp.InstantProcessor{}, HWCosts())
+	ini1 := NewInitiator(tcp.InstantProcessor{}, HWCosts())
 
 	st1.Listen(Port, func(conn *tcp.Conn) {
 		ini1.RegisterConn(0, conn)

@@ -72,8 +72,8 @@ func coroutineKernel(pkgPath string) bool {
 // continuationOnly lists the hot-path packages rebuilt as continuation
 // (callback) actors: they run at per-packet/per-segment event rates where a
 // sim.Proc wake that crosses processes costs a coroutine hand-off, so
-// reintroducing Proc or Mailbox there would silently undo the kernel
-// speedup. The bare "continuation" path is the lint fixture standing in for
+// reintroducing Proc, Waiter or Mailbox there would silently undo the
+// kernel speedup. The bare "continuation" path is the lint fixture standing in for
 // a real hot-path package (fixture packages have bare import paths).
 func continuationOnly(pkgPath string) bool {
 	return pkgPath == "dclue/internal/netsim" ||

@@ -90,7 +90,7 @@ func TestPolicyExemptions(t *testing.T) {
 	}{
 		{"dclue/internal/netsim", true},
 		{"continuation", true},             // the lint fixture stands in for a hot path
-		{"dclue/internal/tcp", false},      // still hosts Dial/Mailbox for low-rate callers
+		{"dclue/internal/tcp", false},      // still hosts Dial/Waiter for low-rate callers
 		{"dclue/internal/platform", false}, // app threads remain goroutine-backed Procs
 		{"dclue/internal/core", false},
 	}

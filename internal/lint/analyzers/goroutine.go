@@ -25,9 +25,10 @@ import (
 // coroutine-backed sim.Proc would put a coroutine hand-off on every wake
 // that crosses processes.
 // There it additionally flags the process-backed kernel primitives —
-// naming the sim.Proc or sim.Mailbox types, or calling sim.NewMailbox —
-// since any use of the process API has to name one of them. Pure callback
-// scheduling (sim.After/At, EventID) stays legal everywhere.
+// naming the sim.Proc, sim.Mailbox or sim.Waiter types, or calling
+// sim.NewMailbox — since any use of the process API has to name one of
+// them. Pure callback scheduling (sim.After/At, EventID) stays legal
+// everywhere.
 var Goroutine = &analysis.Analyzer{
 	Name: "goroutine",
 	Doc:  "forbid go statements, channels, and sync.WaitGroup outside internal/runner, and iter.Pull outside internal/sim; forbid process-backed sim primitives in continuation-only packages",
@@ -68,7 +69,7 @@ func runGoroutine(pass *analysis.Pass) error {
 					if path, isPkg := pass.PkgNameOf(f, id); isPkg && path == "iter" {
 						pass.Reportf(n.Pos(), "iter.%s outside internal/sim: a coroutine built by model code bypasses Kill, Sim.Switches and the deadlock watchdog; block in a sim.Proc instead", n.Sel.Name)
 					}
-				case "Proc", "Mailbox", "NewMailbox":
+				case "Proc", "Mailbox", "NewMailbox", "Waiter":
 					if !contOnly {
 						return true
 					}

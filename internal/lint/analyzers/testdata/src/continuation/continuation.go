@@ -29,6 +29,11 @@ func makeInbox(s *sim.Sim) *sim.Mailbox { // want `sim\.Mailbox in a continuatio
 	return sim.NewMailbox(s) // want `sim\.NewMailbox in a continuation-only package`
 }
 
+// A reply token is the process API too: something must Await it.
+func reply(w sim.Waiter) { // want `sim\.Waiter in a continuation-only package`
+	w.Deliver(nil)
+}
+
 func serve(s *sim.Sim) {
 	s.Spawn("srv", func(p *sim.Proc) { // want `sim\.Proc in a continuation-only package`
 		p.Sleep(1)

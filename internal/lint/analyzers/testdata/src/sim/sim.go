@@ -1,7 +1,7 @@
 // Package sim is a miniature of dclue/internal/sim for the continuation
 // fixture: just enough surface to exercise the goroutine analyzer's
-// continuation-only rule (Proc/Mailbox/NewMailbox flagged, After/EventID
-// legal).
+// continuation-only rule (Proc/Mailbox/NewMailbox/Waiter flagged,
+// After/EventID legal).
 package sim
 
 type Time int64
@@ -27,3 +27,7 @@ type Mailbox struct{}
 func NewMailbox(s *Sim) *Mailbox { return &Mailbox{} }
 
 func (m *Mailbox) Recv(p *Proc) any { return nil }
+
+type Waiter struct{}
+
+func (w Waiter) Deliver(v any) {}

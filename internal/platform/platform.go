@@ -344,7 +344,7 @@ func (c *CPU) Process(pathLen float64, done func()) {
 	c.submit(irqTask{pathLen: pathLen, done: done})
 }
 
-// ProcessArg implements tcp.ArgProcessor: like Process but completion is
+// ProcessArg implements tcp.Processor: like Process but completion is
 // fn(arg), letting per-segment callers reuse one prebuilt continuation
 // instead of allocating a closure for every task.
 func (c *CPU) ProcessArg(pathLen float64, fn func(any), arg any) {

@@ -204,8 +204,8 @@ func BenchmarkResourceHandOver(b *testing.B) {
 // schedule/fire (for a later instant or the current one) and schedule/cancel
 // (near, or far ahead as a retransmission timer) run without allocating, and
 // so do an advance that moves several due events into the lane, a Resource
-// handing its server to a queued continuation or process, and a Mailbox send
-// taken without blocking.
+// handing its server to a queued continuation or process, a Mailbox send
+// taken without blocking, and a blocking request and reply on a Waiter.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	s := New()
 	fn := func() {}
@@ -313,6 +313,45 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 			avg, r.totalWaits-waits, ops)
 	}
 	s.Shutdown()
+
+	// A blocking request and reply with a timeout armed and cancelled,
+	// answered on a Waiter and on a reused Mailbox: each op the reply event
+	// delivers, which cancels the timeout and wakes the process; it takes a
+	// fresh token, sends its next request and parks again. The reply is a
+	// pointer, which an any holds unboxed.
+	var tok Waiter
+	var mb *Mailbox
+	for _, c := range []struct {
+		name  string
+		reply func()
+		wait  func(p *Proc) (any, bool)
+	}{
+		{"a Waiter", func() { tok.Deliver(v) }, func(p *Proc) (any, bool) { return p.Await(10) }},
+		{"a reused Mailbox", func() { mb.Send(v) }, func(p *Proc) (any, bool) { return mb.RecvTimeout(p, 10) }},
+	} {
+		rs := New()
+		mb = NewMailbox(rs)
+		replies := 0
+		rs.Spawn("requester", func(p *Proc) {
+			for {
+				tok = p.Waiter() // RecvTimeout takes a newer one for the Mailbox
+				rs.After(1, c.reply)
+				if got, ok := c.wait(p); ok && got == v {
+					replies++
+				}
+			}
+		})
+		request := func() { rs.Run(rs.Now() + 1) }
+		for i := 0; i < 1024; i++ {
+			request() // warm every bucket the clock's advance can reach
+		}
+		replies = 0
+		if avg := testing.AllocsPerRun(200, request); avg != 0 || replies != 201 {
+			t.Errorf("request and reply on %s: %v allocs/op, %d replies in 201 ops; want 0, one per op",
+				c.name, avg, replies)
+		}
+		rs.Shutdown()
+	}
 }
 
 // TestFiredTimerClosureCollectible is the regression test for stale-EventID

@@ -1,24 +1,19 @@
 package sim
 
 // Mailbox is an unbounded FIFO of values with FIFO-ordered blocking
-// receivers, the kernel analogue of a Go channel. Send may be called from
-// kernel context or from a process; receivers are woken through the event
-// calendar, preserving determinism.
+// receivers, the kernel analogue of a Go channel, for a receiver that can
+// have several values outstanding. Where one value answers one wait, a
+// Waiter alone does the job. Send may be called from kernel context or from
+// a process; each receiver waits on a Waiter of its own, woken through the
+// event calendar, preserving determinism.
 type Mailbox struct {
-	sim     *Sim
 	vals    Queue[any]
-	waiters Queue[*mboxWaiter]
+	waiters Queue[Waiter]
 }
 
-type mboxWaiter struct {
-	p        *Proc
-	timer    EventID
-	hasTimer bool
-	removed  bool
-}
-
-// NewMailbox returns an empty mailbox bound to s.
-func NewMailbox(s *Sim) *Mailbox { return &Mailbox{sim: s} }
+// NewMailbox returns an empty mailbox. It needs nothing from s: a receiver's
+// Waiter knows its simulation.
+func NewMailbox(s *Sim) *Mailbox { return &Mailbox{} }
 
 // Len returns the number of queued (unconsumed) values.
 func (m *Mailbox) Len() int { return m.vals.Len() }
@@ -30,27 +25,14 @@ func (m *Mailbox) Send(v any) {
 	m.dispatch()
 }
 
-// dispatch pairs queued values with queued waiters.
+// dispatch hands queued values to queued receivers, skipping a receiver
+// whose wait is over: it timed out, so its token is no longer waiting.
 func (m *Mailbox) dispatch() {
 	for m.vals.Len() > 0 && m.waiters.Len() > 0 {
-		w := m.waiters.Pop()
-		if w.removed {
-			continue
+		if w := m.waiters.Pop(); w.waiting() {
+			w.Deliver(m.vals.Pop())
 		}
-		w.removed = true
-		v := m.vals.Pop()
-		if w.hasTimer {
-			m.sim.Cancel(w.timer)
-			w.timer = EventID{} // drop the stale handle; the slot will be recycled
-			w.hasTimer = false
-		}
-		m.sim.After(0, func() { w.p.wake(recvResult{v, true}) })
 	}
-}
-
-type recvResult struct {
-	val any
-	ok  bool
 }
 
 // Recv blocks the calling process until a value is available and returns it.
@@ -74,20 +56,6 @@ func (m *Mailbox) RecvTimeout(p *Proc, d Time) (any, bool) {
 	if v, ok := m.TryRecv(); ok {
 		return v, true
 	}
-	w := &mboxWaiter{p: p}
-	m.waiters.Push(w)
-	if d >= 0 {
-		w.hasTimer = true
-		w.timer = m.sim.After(d, func() {
-			w.timer = EventID{} // fired: the ID is stale from here on
-			w.hasTimer = false
-			if w.removed {
-				return
-			}
-			w.removed = true
-			p.wake(recvResult{nil, false})
-		})
-	}
-	r := p.park().(recvResult)
-	return r.val, r.ok
+	m.waiters.Push(p.Waiter())
+	return p.Await(d)
 }

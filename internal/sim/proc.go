@@ -27,16 +27,35 @@ type killPanic struct{}
 //
 // All Proc methods must be called from the process's own function.
 type Proc struct {
-	sim    *Sim
-	name   string
-	seq    uint64      // spawn order; fixes iteration order over proc sets
-	fn     func(*Proc) // the process function
-	co     *coro       // coroutine running the process; set by the start event
-	val    any         // value delivered by the pending wake
-	done   bool
-	span   any
-	wakeFn func() // prebuilt wake(nil) continuation, so Sleep and Resource hand-overs never allocate
+	sim       *Sim
+	name      string
+	seq       uint64      // spawn order; fixes iteration order over proc sets
+	fn        func(*Proc) // the process function
+	co        *coro       // coroutine running the process; set by the start event
+	done      bool
+	span      any
+	wakeFn    func() // prebuilt wake continuation: Sleep, Resource hand-overs and deliveries never allocate
+	timeoutFn func() // prebuilt Await timeout, made by the first wait with one
+	wait      waitSlot
 }
+
+// waitSlot is the process's one wait for a value, behind its Waiter tokens
+// and Await.
+type waitSlot struct {
+	gen    uint32 // generation of the newest token
+	state  waitState
+	parked bool    // in Await
+	timer  EventID // Await's timeout while armed
+	val    any     // the delivered value, until Await takes it
+}
+
+type waitState uint8
+
+const (
+	waitIdle  waitState = iota // no fresh token: Await panics, deliveries are no-ops
+	waitArmed                  // the newest token awaits its value
+	waitFull                   // the newest token holds its value
+)
 
 // coro is a process coroutine. It outlives the processes it runs: when one
 // finishes or is killed, the coroutine goes idle in a pool shared by every
@@ -106,9 +125,6 @@ func (p *Proc) Name() string { return p.name }
 // when a set of processes must be torn down in a reproducible order.
 func (p *Proc) Seq() uint64 { return p.seq }
 
-// Sim returns the simulation this process belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.sim.now }
 
@@ -130,7 +146,7 @@ func (p *Proc) Span() any { return p.span }
 // primitive, or the process is killed.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, seq: s.procSeq, fn: fn}
-	p.wakeFn = func() { p.wake(nil) }
+	p.wakeFn = p.wake
 	s.procSeq++
 	s.procs[p] = struct{}{}
 	s.After(0, p.start)
@@ -208,9 +224,9 @@ func (s *Sim) handOff(self *Proc) {
 	s.host = s.caller
 }
 
-// park blocks the process until some event calls wake, and returns the value
-// passed to wake. Meanwhile the process's coroutine runs the calendar.
-func (p *Proc) park() any {
+// park blocks the process until some event calls wake. Meanwhile the
+// process's coroutine runs the calendar.
+func (p *Proc) park() {
 	s := p.sim
 	if s.current != p {
 		panic(fmt.Sprintf("sim: process %q parking while not current", p.name))
@@ -221,19 +237,15 @@ func (p *Proc) park() any {
 		panic(killPanic{}) // killed while parked
 	}
 	s.current = p
-	v := p.val
-	p.val = nil
-	return v
 }
 
-// wake resumes a parked process, handing it val. It must be called from
-// kernel context (inside an event, never from another process) and must be
-// the last action of its event: it only names the process to run next, and
-// the hand-off to that process's coroutine happens when the event returns.
-// Primitives ensure this by scheduling each wake as an event of its own
-// (the wakeFn that Sleep and Resource.Release schedule, the closure in
-// Mailbox.dispatch, the mailbox timer).
-func (p *Proc) wake(val any) {
+// wake resumes a parked process. It must be called from kernel context
+// (inside an event, never from another process) and must be the last action
+// of its event: it only names the process to run next, and the hand-off to
+// that process's coroutine happens when the event returns. Primitives ensure
+// this by scheduling each wake as an event of its own (the wakeFn that
+// Sleep, Resource.Release and Waiter.Deliver schedule, Await's timeout).
+func (p *Proc) wake() {
 	s := p.sim
 	if s.current != nil {
 		panic("sim: wake from non-kernel context")
@@ -244,8 +256,79 @@ func (p *Proc) wake(val any) {
 	if s.next != nil {
 		panic("sim: two wakes in one event")
 	}
-	p.val = val
 	s.next = p
+}
+
+// Waiter is a token for one value its process will Await: a lock grant, an
+// I/O completion, a reply. The process takes it before the request leaves.
+// Like an EventID it carries a generation: a newer Waiter call supersedes
+// it, and a delivery to a superseded token or to the zero Waiter is a no-op.
+type Waiter struct {
+	p   *Proc
+	gen uint32
+}
+
+// Waiter hands out a fresh token for the process's next Await.
+func (p *Proc) Waiter() Waiter {
+	w := &p.wait
+	w.gen++
+	w.state, w.val = waitArmed, nil
+	return Waiter{p, w.gen}
+}
+
+// waiting reports whether w is its process's newest token and lacks its
+// value. A killed process's token stays current.
+func (w Waiter) waiting() bool {
+	return w.p != nil && w.gen == w.p.wait.gen && w.p.wait.state == waitArmed
+}
+
+// Deliver fills a waiting token with v; to any other token it is a no-op.
+// If the process is parked in Await, its timeout is cancelled and its wake
+// scheduled for now; otherwise the value waits for Await.
+func (w Waiter) Deliver(v any) {
+	if !w.waiting() {
+		return
+	}
+	slot := &w.p.wait
+	slot.val, slot.state = v, waitFull
+	if slot.parked {
+		w.p.sim.Cancel(slot.timer) // a no-op on the zero EventID: no timeout armed
+		slot.timer = EventID{}
+		w.p.sim.After(0, w.p.wakeFn)
+	}
+}
+
+// Await returns the value delivered to the process's newest Waiter, parking
+// until it comes; a value already there costs no park and no event. A d of
+// zero or more bounds the wait: ok is false when d elapses first. Await
+// panics if the process holds no fresh Waiter.
+func (p *Proc) Await(d Time) (v any, ok bool) {
+	w := &p.wait
+	if w.state == waitIdle {
+		panic(fmt.Sprintf("sim: process %q awaits without a fresh Waiter", p.name))
+	}
+	if w.state == waitArmed {
+		if d >= 0 {
+			if p.timeoutFn == nil {
+				p.timeoutFn = p.timeout
+			}
+			w.timer = p.sim.After(d, p.timeoutFn)
+		}
+		w.parked = true
+		p.park()
+		w.parked = false
+	}
+	v, ok = w.val, w.state == waitFull
+	w.state, w.val = waitIdle, nil
+	return v, ok
+}
+
+// timeout is Await's timer event. A delivery cancels it, so it ends a wait
+// that is still armed.
+func (p *Proc) timeout() {
+	p.wait.timer = EventID{}
+	p.wait.state = waitIdle
+	p.wake()
 }
 
 // Sleep suspends the process for d of simulated time.

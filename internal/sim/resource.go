@@ -2,7 +2,7 @@ package sim
 
 // Resource is a counted server pool (semaphore) with a priority FIFO queue:
 // lower priority values are served first; within a priority, arrivals are
-// FIFO. It is the building block for CPUs, disks, and link schedulers.
+// FIFO. platform.CPU serves its threads and interrupt work with one.
 type Resource struct {
 	sim      *Sim
 	capacity int

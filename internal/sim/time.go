@@ -9,7 +9,7 @@
 // iter.Pull coroutines under strict hand-off, so exactly one of them (or the
 // Run caller) is ever running. This keeps simulations fully deterministic
 // while letting model code be written in a natural blocking style (Sleep,
-// Wait, Acquire, ...).
+// Await, Acquire).
 //
 // Queue is also the one FIFO the rest of the model builds on: link flights,
 // router and qdisc backlogs, interrupt work and TCP send buffers.

@@ -76,7 +76,7 @@ type Conn struct {
 	// Application interface.
 	onMessage func(m Message)
 	onClose   func(reset bool)
-	inbox     *sim.Mailbox // established/closed notifications for Dial/Close
+	waiter    sim.Waiter // the Dial or WaitClosed caller's, for the established/closed notification
 	acceptFn  func(*Conn)
 	dialPort  int
 
@@ -114,7 +114,6 @@ func newConn(s *Stack, id uint64, remote netsim.Addr, class netsim.Class, tc tel
 		rto:      cfg.InitialRTO,
 		oob:      make(map[int]*segment),
 		rwndSegs: cfg.RecvWindowBytes / MSS,
-		inbox:    sim.NewMailbox(s.dom.sim),
 	}
 	c.rtoFn = c.onRTO
 	return c
@@ -140,12 +139,12 @@ func Dial(p *sim.Proc, s *Stack, to netsim.Addr, port int, opts DialOptions) *Co
 	c.state = stSynSent
 	c.dialPort = port
 	s.conns[c.id] = c
+	c.waiter = p.Waiter()
 	s.proc.Process(s.costs.ConnSetup, func() {
 		c.sendControl(segSYN)
 		c.armRTO()
 	})
-	v := c.inbox.Recv(p)
-	if v == "established" {
+	if v, _ := p.Await(-1); v == "established" {
 		return c
 	}
 	return nil
@@ -332,7 +331,7 @@ func (c *Conn) handleSegment(seg *segment) bool {
 			c.rtoCount = 0
 			c.stack.dom.Handshakes++
 			c.sendControl(segACK)
-			c.inbox.Send("established")
+			c.waiter.Deliver("established")
 			c.trySend()
 		} else {
 			c.sendControl(segACK) // duplicate SYNACK: re-ack
@@ -656,9 +655,9 @@ func (c *Conn) teardown(reset bool) {
 	linger := 2 * c.stack.dom.cfg.MaxRTO
 	c.stack.dom.sim.After(linger, func() { delete(c.stack.conns, c.id) })
 	if c.state == stReset {
-		c.inbox.Send("reset")
+		c.waiter.Deliver("reset")
 	} else {
-		c.inbox.Send("closed")
+		c.waiter.Deliver("closed")
 	}
 	if c.onClose != nil {
 		c.onClose(reset)
@@ -674,7 +673,8 @@ func (c *Conn) WaitClosed(p *sim.Proc) bool {
 	if c.state == stReset {
 		return false
 	}
-	v := c.inbox.Recv(p)
+	c.waiter = p.Waiter()
+	v, _ := p.Await(-1)
 	return v == "closed"
 }
 

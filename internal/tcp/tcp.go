@@ -22,16 +22,11 @@ const HeaderBytes = 58
 
 // Processor schedules protocol-processing work on a host CPU. The platform
 // package implements it; tests can use instant processors. Process must
-// eventually invoke done in kernel context.
+// eventually invoke done in kernel context, and ProcessArg fn(arg): the
+// per-segment hot path's form, whose prebuilt continuation spares the
+// caller a closure per task.
 type Processor interface {
 	Process(pathLen float64, done func())
-}
-
-// ArgProcessor is an optional Processor extension for the per-segment hot
-// path: completion is fn(arg) with a prebuilt continuation, so the caller
-// does not allocate a closure per task. Stacks use it when the Processor
-// provides it and fall back to Process otherwise.
-type ArgProcessor interface {
 	ProcessArg(pathLen float64, fn func(any), arg any)
 }
 
@@ -41,7 +36,7 @@ type InstantProcessor struct{}
 // Process implements Processor by completing immediately.
 func (InstantProcessor) Process(pathLen float64, done func()) { done() }
 
-// ProcessArg implements ArgProcessor by completing immediately.
+// ProcessArg implements Processor by completing immediately.
 func (InstantProcessor) ProcessArg(pathLen float64, fn func(any), arg any) { fn(arg) }
 
 // CostModel gives the path lengths (instructions) charged for protocol
@@ -163,7 +158,6 @@ type Stack struct {
 	dom       *Domain
 	addr      netsim.Addr
 	proc      Processor
-	argProc   ArgProcessor // non-nil when proc supports the no-closure path
 	costs     CostModel
 	conns     map[uint64]*Conn
 	listeners map[int]func(*Conn)
@@ -184,7 +178,6 @@ func (d *Domain) NewStack(addr netsim.Addr, proc Processor, costs CostModel) *St
 		conns:     make(map[uint64]*Conn),
 		listeners: make(map[int]func(*Conn)),
 	}
-	st.argProc, _ = proc.(ArgProcessor)
 	st.recvFn = func(v any) { st.handleSegment(v.(*segment)) }
 	st.sendFn = func(v any) { st.putOnWire(v.(*segment)) }
 	d.net.NIC(addr).SetEndpoint(st)
@@ -199,10 +192,7 @@ func (s *Stack) Domain() *Domain { return s.dom }
 
 // SetProcessor repoints protocol work at a new CPU complex; a restarted node
 // keeps its stack (peers hold its address) but boots fresh processors.
-func (s *Stack) SetProcessor(proc Processor) {
-	s.proc = proc
-	s.argProc, _ = proc.(ArgProcessor)
-}
+func (s *Stack) SetProcessor(proc Processor) { s.proc = proc }
 
 // AbortConns abandons every connection on the stack without wire traffic —
 // the node lost power; nothing it could say would reach anyone. Connections
@@ -238,11 +228,7 @@ func (s *Stack) Deliver(pkt *netsim.Packet) {
 		seg.marked = true
 	}
 	s.dom.SegsRecv++
-	if s.argProc != nil {
-		s.argProc.ProcessArg(s.costs.RecvCost(seg.payload), s.recvFn, seg)
-		return
-	}
-	s.proc.Process(s.costs.RecvCost(seg.payload), func() { s.handleSegment(seg) })
+	s.proc.ProcessArg(s.costs.RecvCost(seg.payload), s.recvFn, seg)
 }
 
 // handleSegment runs after receive-side protocol processing. It recycles the
@@ -294,11 +280,7 @@ func (s *Stack) sendSegment(seg *segment, to netsim.Addr) {
 	s.dom.SegsSent++
 	seg.from = s.addr
 	seg.to = to
-	if s.argProc != nil {
-		s.argProc.ProcessArg(s.costs.SendCost(seg.payload), s.sendFn, seg)
-		return
-	}
-	s.proc.Process(s.costs.SendCost(seg.payload), func() { s.putOnWire(seg) })
+	s.proc.ProcessArg(s.costs.SendCost(seg.payload), s.sendFn, seg)
 }
 
 // putOnWire wraps the segment in a (pooled) packet and injects it into the

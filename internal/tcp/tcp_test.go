@@ -317,3 +317,7 @@ type delayProcessor struct {
 func (p *delayProcessor) Process(pathLen float64, done func()) {
 	p.s.After(p.d, done)
 }
+
+func (p *delayProcessor) ProcessArg(pathLen float64, fn func(any), arg any) {
+	p.Process(pathLen, func() { fn(arg) })
+}
