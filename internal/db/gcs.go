@@ -92,7 +92,6 @@ type (
 		ReqID  uint64
 		Res    ResourceID
 		Txn    TxnRef
-		Mode   LockMode
 		NoWait bool
 	}
 	// MsgLockGrant grants a request; Waited says it queued first.
@@ -399,9 +398,6 @@ func (g *GCS) recordLockWait(start sim.Time) {
 		g.tel.OnLockWait(start, g.sim.Now())
 	}
 }
-
-// Locks exposes the master-side lock service (tests, stats).
-func (g *GCS) Locks() *LockService { return g.locks }
 
 type fwdState struct {
 	requester int

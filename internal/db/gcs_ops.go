@@ -435,66 +435,55 @@ func (g *GCS) OnEvict(blk BlockID, dirty bool) {
 
 // ---- Global locks ----
 
-// AcquireLock requests an X/S lock on res for txn. If wait is true the
-// caller blocks until granted or the deadlock timeout expires; if false a
-// would-block request is denied immediately (the paper's
-// release-and-retry path for later locks in a sequence). Returns whether
-// the lock was granted and whether the caller had to wait for it.
-func (g *GCS) AcquireLock(p *sim.Proc, txn TxnRef, res ResourceID, mode LockMode, wait bool) (granted, waited bool) {
+// AcquireLock requests the exclusive lock on res for txn and reports
+// whether it was granted. If wait is true the caller blocks until granted
+// or the deadlock timeout expires; if false a would-block request is denied
+// immediately (the paper's release-and-retry path for later locks in a
+// sequence).
+func (g *GCS) AcquireLock(p *sim.Proc, txn TxnRef, res ResourceID, wait bool) bool {
 	trace.Enter(p, trace.PhaseLock)
-	granted, waited = g.acquireLock(p, txn, res, mode, wait)
+	granted := g.acquireLock(p, txn, res, wait)
 	trace.Exit(p)
-	return granted, waited
+	return granted
 }
 
-func (g *GCS) acquireLock(p *sim.Proc, txn TxnRef, res ResourceID, mode LockMode, wait bool) (granted, waited bool) {
+func (g *GCS) acquireLock(p *sim.Proc, txn TxnRef, res ResourceID, wait bool) bool {
 	if g.Gate != nil && !g.Gate(g.cat.Home(BlockID{res.Table, res.Block})) {
 		g.Stats.GateRejects++
 		g.Stats.LockFails++
 		g.Stats.noteFail(res.Table)
-		return false, false
+		return false
 	}
 	master := g.cat.Master(BlockID{res.Table, res.Block})
 	start := g.sim.Now()
 	if master == g.self {
 		g.host.Execute(p, g.costs.LockRequest)
-		done := false
-		syncWait := false
-		grant := p.Waiter()
-		g.locks.Request(res, txn, mode, func(w bool) {
-			done = true
-			syncWait = w
-			if w {
-				grant.Deliver(nil)
-			}
-		})
-		if done && !syncWait {
-			return true, false
+		if g.locks.TryLock(res, txn) {
+			return true
 		}
 		if !wait {
-			g.locks.Cancel(res, txn)
 			g.Stats.LockFails++
 			g.Stats.noteFail(res.Table)
-			return false, false
+			return false
 		}
+		grant := p.Waiter()
+		g.locks.Wait(res, txn, func() { grant.Deliver(nil) })
 		g.Stats.LockWaits++
 		g.Stats.noteWait(res.Table)
-		if _, ok := p.Await(g.DeadlockTimeout); !ok {
+		_, ok := p.Await(g.DeadlockTimeout)
+		if !ok {
 			g.locks.Cancel(res, txn)
 			g.Stats.LockFails++
 			g.Stats.noteFail(res.Table)
-			g.recordLockWait(start)
-			g.host.Dispatch(p, g.costs.ResumeDispatch)
-			return false, true
 		}
 		g.recordLockWait(start)
 		g.host.Dispatch(p, g.costs.ResumeDispatch)
-		return true, true
+		return ok
 	}
 
 	// Remote master.
 	reqID := g.newReq(p)
-	g.sendCtl(master, MsgLockReq{ReqID: reqID, Res: res, Txn: txn, Mode: mode, NoWait: !wait})
+	g.sendCtl(master, MsgLockReq{ReqID: reqID, Res: res, Txn: txn, NoWait: !wait})
 	v, ok := p.Await(g.DeadlockTimeout)
 	g.host.Dispatch(p, g.costs.ResumeDispatch)
 	if !ok {
@@ -505,7 +494,7 @@ func (g *GCS) acquireLock(p *sim.Proc, txn TxnRef, res ResourceID, mode LockMode
 		g.Stats.LockWaits++
 		g.Stats.noteWait(res.Table)
 		g.recordLockWait(start)
-		return false, true
+		return false
 	}
 	switch r := v.(type) {
 	case MsgLockGrant:
@@ -514,31 +503,27 @@ func (g *GCS) acquireLock(p *sim.Proc, txn TxnRef, res ResourceID, mode LockMode
 			g.Stats.noteWait(res.Table)
 			g.recordLockWait(start)
 		}
-		return true, r.Waited
+		return true
 	case MsgLockDeny:
 		g.Stats.LockFails++
 		g.Stats.noteFail(res.Table)
-		return false, false
 	}
-	return false, false
+	return false
 }
 
-// masterLockReq serves a remote lock request.
+// masterLockReq serves a remote lock request: a grant at once, a deny for a
+// NoWait request that would queue, or a grant when the lock passes to it.
 func (g *GCS) masterLockReq(from int, m MsgLockReq) {
-	if m.NoWait {
-		granted := false
-		g.locks.Request(m.Res, m.Txn, m.Mode, func(w bool) { granted = true })
-		if granted {
-			g.sendCtl(from, MsgLockGrant{ReqID: m.ReqID})
-		} else {
-			g.locks.Cancel(m.Res, m.Txn)
-			g.sendCtl(from, MsgLockDeny{ReqID: m.ReqID})
-		}
-		return
+	switch {
+	case g.locks.TryLock(m.Res, m.Txn):
+		g.sendCtl(from, MsgLockGrant{ReqID: m.ReqID})
+	case m.NoWait:
+		g.sendCtl(from, MsgLockDeny{ReqID: m.ReqID})
+	default:
+		g.locks.Wait(m.Res, m.Txn, func() {
+			g.sendCtl(from, MsgLockGrant{ReqID: m.ReqID, Waited: true})
+		})
 	}
-	g.locks.Request(m.Res, m.Txn, m.Mode, func(w bool) {
-		g.sendCtl(from, MsgLockGrant{ReqID: m.ReqID, Waited: w})
-	})
 }
 
 // ReleaseLocks drops every lock txn holds: local releases plus one batched

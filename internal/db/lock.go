@@ -1,6 +1,9 @@
 package db
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // resourceIDLess is the (table, block, subpage) order for sort.Slice over rs.
 func resourceIDLess(rs []ResourceID) func(i, j int) bool {
@@ -16,18 +19,8 @@ func resourceIDLess(rs []ResourceID) func(i, j int) bool {
 	}
 }
 
-// LockMode is a lock strength. With multi-version concurrency control
-// reads never lock (§2.1), so the executor only requests X; S exists for
-// completeness and tests.
-type LockMode int
-
-// Lock modes.
-const (
-	LockS LockMode = iota
-	LockX
-)
-
-// TxnRef names a transaction cluster-wide.
+// TxnRef names a transaction cluster-wide. Node.Begin numbers transactions
+// from 1, so the zero TxnRef names none.
 type TxnRef struct {
 	Node int
 	ID   uint64
@@ -36,27 +29,28 @@ type TxnRef struct {
 // lockWaiter is a queued request at the master.
 type lockWaiter struct {
 	txn   TxnRef
-	mode  LockMode
-	grant func(waited bool)
+	grant func()
 }
 
-// lockEntry is the master-side state of one resource.
+// lockEntry is the master-side state of one locked resource: its holder and
+// the requests queued behind it, oldest first. A zero holder marks the lock
+// free; pump deletes an entry that is free with nobody queued.
 type lockEntry struct {
-	holders map[TxnRef]LockMode
-	queue   []*lockWaiter
+	holder TxnRef
+	queue  []lockWaiter
 }
 
 // LockService is the lock master role of one node: it owns the lock tables
 // for every resource whose block it homes (partition-aware mastering, like
-// the directory).
+// the directory). With multi-version concurrency control reads never lock
+// (§2.1), so every lock is exclusive and has at most one holder.
+//
+// Two transactions on one node can share a TxnRef: Node.Begin takes the
+// next id only after its initiation work, so two Begins that overlap there
+// build the same TxnRef. That race is the only reason the table grants a
+// request whose TxnRef is the holder's, in TryLock and in pump alike.
 type LockService struct {
 	locks map[ResourceID]*lockEntry
-
-	Grants     uint64
-	Queued     uint64
-	Cancels    uint64
-	MaxQueue   int
-	ActiveLock int // resources with holders or waiters
 }
 
 // NewLockService returns an empty lock master.
@@ -64,60 +58,22 @@ func NewLockService() *LockService {
 	return &LockService{locks: make(map[ResourceID]*lockEntry)}
 }
 
-// compatible reports whether a request mode coexists with a held mode.
-func compatible(held, req LockMode) bool { return held == LockS && req == LockS }
-
-// Request asks for res in mode on behalf of txn. grant is invoked exactly
-// once — immediately (waited=false) or later when the lock frees
-// (waited=true). Re-entrant requests by a holder are granted immediately;
-// an S holder sole on the resource upgrades to X in place.
-func (ls *LockService) Request(res ResourceID, txn TxnRef, mode LockMode, grant func(waited bool)) {
+// TryLock takes res for txn if it is free, or if txn's TxnRef already holds
+// it, and reports whether it did.
+func (ls *LockService) TryLock(res ResourceID, txn TxnRef) bool {
 	e := ls.locks[res]
 	if e == nil {
-		e = &lockEntry{holders: make(map[TxnRef]LockMode)}
-		ls.locks[res] = e
-		ls.ActiveLock++
+		ls.locks[res] = &lockEntry{holder: txn}
+		return true
 	}
-	if held, ok := e.holders[txn]; ok {
-		if mode == LockX && held == LockS {
-			if len(e.holders) == 1 {
-				e.holders[txn] = LockX
-				ls.Grants++
-				grant(false)
-				return
-			}
-			// Upgrade must queue behind other S holders.
-		} else {
-			ls.Grants++
-			grant(false)
-			return
-		}
-	}
-	if len(e.queue) == 0 && ls.fits(e, txn, mode) {
-		e.holders[txn] = mode
-		ls.Grants++
-		grant(false)
-		return
-	}
-	e.queue = append(e.queue, &lockWaiter{txn: txn, mode: mode, grant: grant})
-	ls.Queued++
-	if len(e.queue) > ls.MaxQueue {
-		ls.MaxQueue = len(e.queue)
-	}
+	return e.holder == txn
 }
 
-// fits reports whether txn may take mode given current holders (ignoring
-// the queue).
-func (ls *LockService) fits(e *lockEntry, txn TxnRef, mode LockMode) bool {
-	for h, m := range e.holders {
-		if h == txn {
-			continue
-		}
-		if !compatible(m, mode) {
-			return false
-		}
-	}
-	return true
+// Wait queues txn for res after TryLock refused it; grant runs once, when
+// the lock passes to txn.
+func (ls *LockService) Wait(res ResourceID, txn TxnRef, grant func()) {
+	e := ls.locks[res]
+	e.queue = append(e.queue, lockWaiter{txn: txn, grant: grant})
 }
 
 // Release drops txn's hold on res and pumps the queue.
@@ -126,47 +82,43 @@ func (ls *LockService) Release(res ResourceID, txn TxnRef) {
 	if e == nil {
 		return
 	}
-	delete(e.holders, txn)
+	if e.holder == txn {
+		e.holder = TxnRef{}
+	}
 	ls.pump(res, e)
 }
 
-// Cancel withdraws a queued request (requester gave up waiting). If the
-// request was already granted this is a release.
+// Cancel withdraws txn's oldest queued request on res (the requester gave
+// up waiting). If txn has none queued, the grant raced the cancel and this
+// is a release.
 func (ls *LockService) Cancel(res ResourceID, txn TxnRef) {
 	e := ls.locks[res]
 	if e == nil {
 		return
 	}
-	for i, w := range e.queue {
-		if w.txn == txn {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			ls.Cancels++
-			ls.pump(res, e)
-			return
-		}
+	if i := slices.IndexFunc(e.queue, func(w lockWaiter) bool { return w.txn == txn }); i >= 0 {
+		e.queue = slices.Delete(e.queue, i, i+1)
+	} else if e.holder == txn {
+		e.holder = TxnRef{}
 	}
-	// Not queued: grant must have raced the cancel; treat as release.
-	if _, ok := e.holders[txn]; ok {
-		delete(e.holders, txn)
-		ls.pump(res, e)
-	}
+	ls.pump(res, e)
 }
 
-// pump grants queued requests in FIFO order while they fit.
+// pump hands a free lock to the head waiter, and grants every waiter at the
+// head whose TxnRef is the holder's, in FIFO order. It deletes the entry
+// once the lock is free with nobody queued.
 func (ls *LockService) pump(res ResourceID, e *lockEntry) {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
-		if !ls.fits(e, w.txn, w.mode) {
+		if e.holder != (TxnRef{}) && e.holder != w.txn {
 			break
 		}
-		e.queue = e.queue[1:]
-		e.holders[w.txn] = w.mode
-		ls.Grants++
-		w.grant(true)
+		e.queue = slices.Delete(e.queue, 0, 1)
+		e.holder = w.txn
+		w.grant()
 	}
-	if len(e.holders) == 0 && len(e.queue) == 0 {
+	if e.holder == (TxnRef{}) {
 		delete(ls.locks, res)
-		ls.ActiveLock--
 	}
 }
 
@@ -177,23 +129,10 @@ func (ls *LockService) pump(res ResourceID, e *lockEntry) {
 func (ls *LockService) ReleaseNode(node int) {
 	for _, res := range ls.sortedResources() {
 		e := ls.locks[res]
-		if e == nil {
-			continue
+		if e.holder.Node == node {
+			e.holder = TxnRef{}
 		}
-		for h := range e.holders {
-			if h.Node == node {
-				delete(e.holders, h)
-			}
-		}
-		kept := e.queue[:0]
-		for _, w := range e.queue {
-			if w.txn.Node == node {
-				ls.Cancels++
-				continue
-			}
-			kept = append(kept, w)
-		}
-		e.queue = kept
+		e.queue = slices.DeleteFunc(e.queue, func(w lockWaiter) bool { return w.txn.Node == node })
 		ls.pump(res, e)
 	}
 }
@@ -204,10 +143,7 @@ func (ls *LockService) ReleaseNode(node int) {
 func (ls *LockService) DropHomedAt(pred func(ResourceID) bool) {
 	for _, res := range ls.sortedResources() {
 		if pred(res) {
-			if _, ok := ls.locks[res]; ok {
-				delete(ls.locks, res)
-				ls.ActiveLock--
-			}
+			delete(ls.locks, res)
 		}
 	}
 }
@@ -220,22 +156,4 @@ func (ls *LockService) sortedResources() []ResourceID {
 	}
 	sort.Slice(out, resourceIDLess(out))
 	return out
-}
-
-// HeldBy reports whether txn currently holds res.
-func (ls *LockService) HeldBy(res ResourceID, txn TxnRef) bool {
-	e := ls.locks[res]
-	if e == nil {
-		return false
-	}
-	_, ok := e.holders[txn]
-	return ok
-}
-
-// QueueLen returns the waiter count on res.
-func (ls *LockService) QueueLen(res ResourceID) int {
-	if e := ls.locks[res]; e != nil {
-		return len(e.queue)
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package db
 
 import (
 	"errors"
+	"slices"
 
 	"dclue/internal/sim"
 	"dclue/internal/stats"
@@ -18,13 +19,10 @@ type Txn struct {
 	Snapshot sim.Time
 	node     *Node
 
-	locks      []ResourceID
-	lockSet    map[ResourceID]bool
-	freed      []freedRow
-	waitedOnce bool
-	writeRows  int
-	logBytes   int
-	aborted    bool
+	locks     []ResourceID // held, in acquisition order
+	freed     []freedRow
+	writeRows int
+	logBytes  int
 }
 
 type freedRow struct {
@@ -124,7 +122,6 @@ func (n *Node) Begin(p *sim.Proc) *Txn {
 		Ref:      TxnRef{Node: n.Self, ID: n.nextTxn},
 		Snapshot: n.sim.Now(),
 		node:     n,
-		lockSet:  make(map[ResourceID]bool),
 	}
 }
 
@@ -246,13 +243,11 @@ func (n *Node) TryDelete(p *sim.Proc, txn *Txn, tid TableID, key int64) (claimed
 		return false
 	}
 	res := t.ResourceOf(row)
-	if !txn.lockSet[res] {
-		granted, _ := n.GCS.AcquireLock(p, txn.Ref, res, LockX, false)
-		if !granted {
+	if !slices.Contains(txn.locks, res) {
+		if !n.GCS.AcquireLock(p, txn.Ref, res, false) {
 			return false
 		}
 		txn.locks = append(txn.locks, res)
-		txn.lockSet[res] = true
 	}
 	// The row could have been deleted while the lock message was in flight.
 	if _, still := t.Lookup(key); !still {
@@ -273,7 +268,7 @@ func (n *Node) TryDelete(p *sim.Proc, txn *Txn, tid TableID, key int64) (claimed
 	return true
 }
 
-// Delete removes the row with the given key under an X lock.
+// Delete removes the row with the given key under its exclusive lock.
 func (n *Node) Delete(p *sim.Proc, txn *Txn, tid TableID, key int64) error {
 	t := n.cat.Table(tid)
 	row, ok := t.Lookup(key)
@@ -319,25 +314,20 @@ func (n *Node) Scan(p *sim.Proc, txn *Txn, tid TableID, from int64, fn func(k, r
 	return nil
 }
 
-// lockRow acquires the global X lock on a row's subpage (phase 2).
+// lockRow acquires the global exclusive lock on a row's subpage (phase 2).
 // Contended locks wait in the master's queue; a wait that outlives the
 // deadlock-suspicion timeout is treated as a failure, on which the caller
 // releases everything and retries after a delay (§2.3's lock-wait /
 // release-and-delayed-retry scheme).
 func (n *Node) lockRow(p *sim.Proc, txn *Txn, t *Table, row int64) error {
 	res := t.ResourceOf(row)
-	if txn.lockSet[res] {
+	if slices.Contains(txn.locks, res) {
 		return nil // already held by this transaction
 	}
-	granted, waited := n.GCS.AcquireLock(p, txn.Ref, res, LockX, true)
-	if waited {
-		txn.waitedOnce = true
-	}
-	if !granted {
+	if !n.GCS.AcquireLock(p, txn.Ref, res, true) {
 		return ErrLockFailed
 	}
 	txn.locks = append(txn.locks, res)
-	txn.lockSet[res] = true
 	return nil
 }
 
@@ -371,6 +361,5 @@ func (n *Node) Abort(p *sim.Proc, txn *Txn) {
 	for _, f := range txn.freed {
 		n.cat.Table(f.table).Recycle(f.row)
 	}
-	txn.aborted = true
 	n.Stats.Aborts++
 }

@@ -214,7 +214,7 @@ func TestUpdateCreatesVersionAndLocks(t *testing.T) {
 	}
 	// Lock released at commit.
 	row, _ := cl.tbl.Lookup(5)
-	if n.GCS.Locks().HeldBy(cl.tbl.ResourceOf(row), TxnRef{0, 1}) {
+	if _, held := n.GCS.locks.locks[cl.tbl.ResourceOf(row)]; held {
 		t.Fatal("lock still held after commit")
 	}
 }
