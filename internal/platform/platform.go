@@ -89,12 +89,6 @@ func DefaultConfig(scale float64) Config {
 	}
 }
 
-// Priorities for the CPU run queue.
-const (
-	prioInterrupt = 0
-	prioThread    = 10
-)
-
 // CPU is one node's processor complex.
 type CPU struct {
 	sim    *sim.Sim
@@ -132,24 +126,18 @@ type CPU struct {
 // SetTelemetry attaches a busy-interval instrument (nil detaches).
 func (c *CPU) SetTelemetry(t *telemetry.CPUTel) { c.tel = t }
 
-// irqTask is one unit of interrupt work. Completion is either done() or
-// fn(arg); the latter lets hot callers (the TCP stack) pass a prebuilt
-// continuation plus argument instead of allocating a closure per segment.
+// irqTask is one unit of interrupt work, completed by fn(arg). Hot callers
+// (the TCP stack) pass a prebuilt continuation plus argument instead of
+// allocating a closure per segment; Process passes runDone and its done
+// func, which a func value in an any carries without allocating.
 type irqTask struct {
 	pathLen float64
-	done    func()
 	fn      func(any)
 	arg     any
 }
 
-// complete invokes whichever completion the task carries.
-func (t *irqTask) complete() {
-	if t.done != nil {
-		t.done()
-	} else if t.fn != nil {
-		t.fn(t.arg)
-	}
-}
+// runDone completes a Process task: arg is its done func.
+func runDone(arg any) { arg.(func())() }
 
 // irqService is one interrupt channel: the continuation analogue of the old
 // goroutine-backed irq server. Its three prebuilt callbacks (start → grant →
@@ -324,7 +312,7 @@ func (c *CPU) runOn(p *sim.Proc, pathLen, extraCycles float64) {
 	now := p.Now()
 	c.activeThreads.Add(now, 1)
 	c.dispatches++
-	c.res.Acquire(p, prioThread)
+	c.res.Acquire(p)
 	d := c.duration(pathLen) + sim.Time(c.slowFactor*extraCycles/c.cfg.ClockHz*float64(sim.Second))
 	if c.tel != nil {
 		c.tel.OnBusy(false, p.Now(), p.Now()+d)
@@ -341,7 +329,7 @@ func (c *CPU) runOn(p *sim.Proc, pathLen, extraCycles float64) {
 // protocol work): pathLen instructions at interrupt priority; done runs in
 // kernel context on completion. Callable from kernel or process context.
 func (c *CPU) Process(pathLen float64, done func()) {
-	c.submit(irqTask{pathLen: pathLen, done: done})
+	c.submit(irqTask{pathLen: pathLen, fn: runDone, arg: done})
 }
 
 // ProcessArg implements tcp.Processor: like Process but completion is
@@ -369,14 +357,14 @@ func (c *CPU) submit(t irqTask) {
 	c.irqQ.Push(t)
 }
 
-// doStart begins serving the assigned task: claim a processor at interrupt
-// priority, continuing in doGrant once one is held.
+// doStart begins serving the assigned task: claim a processor ahead of
+// queued threads, continuing in doGrant once one is held.
 func (svc *irqService) doStart() {
 	c := svc.cpu
 	if c.dead {
 		return
 	}
-	c.res.AcquireFunc(prioInterrupt, svc.grant)
+	c.res.AcquireFunc(svc.grant)
 }
 
 // doGrant runs with a processor held: occupy it for the task's service time.
@@ -405,14 +393,14 @@ func (svc *irqService) doFinish() {
 	c.instrSinceTick += task.pathLen
 	c.instrTotal += task.pathLen
 	c.irqWork += task.pathLen
-	task.complete()
+	task.fn(task.arg)
 	if c.dead {
 		svc.busy = false
 		return
 	}
 	if c.irqQ.Len() > 0 {
 		svc.task = c.irqQ.Pop()
-		c.res.AcquireFunc(prioInterrupt, svc.grant)
+		c.res.AcquireFunc(svc.grant)
 		return
 	}
 	svc.busy = false

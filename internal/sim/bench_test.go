@@ -189,11 +189,11 @@ func BenchmarkResourceHandOver(b *testing.B) {
 		r.Release()
 		if n < b.N {
 			n++
-			r.AcquireFunc(0, got)
+			r.AcquireFunc(got)
 		}
 	}
-	r.AcquireFunc(0, got) // the first actor takes the server
-	r.AcquireFunc(0, got) // the second queues for it
+	r.AcquireFunc(got) // the first actor takes the server
+	r.AcquireFunc(got) // the second queues for it
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.RunAll()
@@ -281,36 +281,39 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	r := NewResource(s, 1)
 	release := func() { r.Release() }
 	if avg := testing.AllocsPerRun(200, func() {
-		r.TryAcquire()
-		r.AcquireFunc(0, release)
+		r.take()
+		r.AcquireFunc(release)
 		r.Release()
 		s.RunAll()
-	}); avg != 0 || r.InUse() != 0 {
-		t.Errorf("hand-over to a continuation: %v allocs/op (%d servers left busy), want 0", avg, r.InUse())
+	}); avg != 0 || r.inUse != 0 {
+		t.Errorf("hand-over to a continuation: %v allocs/op (%d servers left busy), want 0", avg, r.inUse)
 	}
 
 	// Hand-over to a process: each op the Run caller takes the server, the
 	// process wakes and queues for it, and a release event one time unit
 	// later hands it over; the process releases it and sleeps into the next
 	// op's window.
+	var ops, waits uint64
 	s.Spawn("waiter", func(p *Proc) {
 		for {
-			r.Acquire(p, 0)
+			queued := p.Now()
+			r.Acquire(p)
+			if p.Now() > queued {
+				waits++
+			}
 			r.Release()
 			p.Sleep(1)
 		}
 	})
 	s.Run(s.Now())
-	var ops uint64
-	waits := r.totalWaits
 	if avg := testing.AllocsPerRun(200, func() {
-		r.TryAcquire()
+		r.take()
 		s.At(s.Now()+2, release)
 		s.Run(s.Now() + 2)
 		ops++
-	}); avg != 0 || r.totalWaits-waits != ops {
+	}); avg != 0 || waits != ops {
 		t.Errorf("hand-over to a process: %v allocs/op, %d waits in %d ops; want 0, one per op",
-			avg, r.totalWaits-waits, ops)
+			avg, waits, ops)
 	}
 	s.Shutdown()
 

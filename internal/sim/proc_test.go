@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -231,7 +232,7 @@ func TestResourceBasic(t *testing.T) {
 	r := NewResource(s, 1)
 	var order []string
 	s.Spawn("a", func(p *Proc) {
-		r.Acquire(p, 0)
+		r.Acquire(p)
 		order = append(order, "a-in")
 		p.Sleep(100)
 		r.Release()
@@ -239,7 +240,7 @@ func TestResourceBasic(t *testing.T) {
 	})
 	s.Spawn("b", func(p *Proc) {
 		p.Sleep(10)
-		r.Acquire(p, 0)
+		r.Acquire(p)
 		order = append(order, "b-in")
 		p.Sleep(10)
 		r.Release()
@@ -250,34 +251,37 @@ func TestResourceBasic(t *testing.T) {
 	}
 }
 
+// TestResourcePriority: a queued continuation is served before a process
+// that queued earlier, and each kind in arrival order.
 func TestResourcePriority(t *testing.T) {
 	s := New()
 	r := NewResource(s, 1)
 	var order []string
 	s.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 0)
+		r.Acquire(p)
 		p.Sleep(100)
 		r.Release()
 	})
-	// Queued while holder owns the server: low-prio first by arrival, then
-	// high-prio should jump the queue.
-	s.At(10, func() {
-		s.Spawn("low", func(p *Proc) {
-			r.Acquire(p, 5)
-			order = append(order, "low")
-			r.Release()
+	for i, name := range []string{"proc1", "proc2"} {
+		s.At(Time(10+i), func() {
+			s.Spawn(name, func(p *Proc) {
+				r.Acquire(p)
+				order = append(order, name)
+				r.Release()
+			})
 		})
-	})
-	s.At(20, func() {
-		s.Spawn("high", func(p *Proc) {
-			r.Acquire(p, 1)
-			order = append(order, "high")
-			r.Release()
+	}
+	for i, name := range []string{"fn1", "fn2"} {
+		s.At(Time(20+i), func() {
+			r.AcquireFunc(func() {
+				order = append(order, name)
+				r.Release()
+			})
 		})
-	})
+	}
 	s.RunAll()
-	if len(order) != 2 || order[0] != "high" || order[1] != "low" {
-		t.Fatalf("order %v, want [high low]", order)
+	if got := strings.Join(order, " "); got != "fn1 fn2 proc1 proc2" {
+		t.Fatalf("order %v, want [fn1 fn2 proc1 proc2]", order)
 	}
 }
 
@@ -287,10 +291,8 @@ func TestResourceCapacityTwo(t *testing.T) {
 	maxInUse := 0
 	for i := 0; i < 5; i++ {
 		s.Spawn("u", func(p *Proc) {
-			r.Acquire(p, 0)
-			if r.InUse() > maxInUse {
-				maxInUse = r.InUse()
-			}
+			r.Acquire(p)
+			maxInUse = max(maxInUse, r.inUse)
 			p.Sleep(50)
 			r.Release()
 		})
@@ -301,43 +303,18 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on free resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestResourceUtilization(t *testing.T) {
 	s := New()
 	r := NewResource(s, 1)
 	s.Spawn("u", func(p *Proc) {
-		r.Use(p, 0, 500*Millisecond)
+		r.Acquire(p)
+		p.Sleep(500 * Millisecond)
+		r.Release()
 	})
 	s.Run(1 * Second)
 	u := r.Utilization()
 	if u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization %v, want ~0.5", u)
-	}
-}
-
-func TestResourceMeanWait(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	s.Spawn("a", func(p *Proc) { r.Use(p, 0, 100*Millisecond) })
-	s.Spawn("b", func(p *Proc) { r.Use(p, 0, 10*Millisecond) })
-	s.RunAll()
-	// b waited ~100ms.
-	if w := r.MeanWait(); w < 99*Millisecond || w > 101*Millisecond {
-		t.Fatalf("mean wait %v, want ~100ms", w)
 	}
 }
 

@@ -1,33 +1,23 @@
 package sim
 
-// Resource is a counted server pool (semaphore) with a priority FIFO queue:
-// lower priority values are served first; within a priority, arrivals are
-// FIFO. platform.CPU serves its threads and interrupt work with one.
+// Resource is a counted server pool (semaphore) with two FIFO queues:
+// queued continuations (AcquireFunc) are served before queued processes
+// (Acquire), each in arrival order. platform.CPU serves its interrupt work
+// as continuations and its threads as processes with one.
 type Resource struct {
 	sim      *Sim
 	capacity int
 	inUse    int
-	// queue[head:] are the waiters in service order. The slice is reused:
-	// it empties back to its start, and a full one whose first half is
-	// served is compacted instead of grown, so steady-state waits do not
-	// allocate.
-	queue []resWaiter
-	head  int
+	// Waiters queue only while every server is busy. The rings are reused,
+	// so steady-state waits do not allocate.
+	fns   Queue[func()]
+	procs Queue[*Proc]
 
-	// Queueing statistics.
-	totalWaits    uint64
-	totalWaitTime Time
-	busyTime      Time
-	lastChange    Time
-	lastBusy      int
-	resetAt       Time
-}
-
-type resWaiter struct {
-	p       *Proc  // process waiter, or
-	fn      func() // continuation waiter (callback actors; see AcquireFunc)
-	prio    int
-	arrived Time // continuation waiters only; Acquire keeps its own
+	// Utilization accounting.
+	busyTime   Time
+	lastChange Time
+	lastBusy   int
+	resetAt    Time
 }
 
 // NewResource returns a resource with the given number of servers.
@@ -37,15 +27,6 @@ func NewResource(s *Sim, capacity int) *Resource {
 	}
 	return &Resource{sim: s, capacity: capacity}
 }
-
-// Capacity returns the number of servers.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of busy servers.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiting processes.
-func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // accountBusy accumulates server-busy time for utilization reporting.
 func (r *Resource) accountBusy() {
@@ -74,83 +55,41 @@ func (r *Resource) ResetUsage() {
 	r.busyTime = 0
 	r.lastChange = now
 	r.resetAt = now
-	r.totalWaits = 0
-	r.totalWaitTime = 0
 }
 
-// MeanWait returns the mean queueing delay over all Acquire calls that had
-// to wait at least once, in simulated time. Zero if nothing ever waited.
-func (r *Resource) MeanWait() Time {
-	if r.totalWaits == 0 {
-		return 0
+// take claims a free server if there is one.
+func (r *Resource) take() bool {
+	if r.inUse == r.capacity {
+		return false
 	}
-	return r.totalWaitTime / Time(r.totalWaits)
+	r.accountBusy()
+	r.inUse++
+	r.lastBusy = r.inUse
+	return true
 }
 
-// TryAcquire claims a server without blocking, returning false if none is
-// free or waiters are queued ahead.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && r.QueueLen() == 0 {
-		r.accountBusy()
-		r.inUse++
-		r.lastBusy = r.inUse
-		return true
-	}
-	return false
-}
-
-// Acquire claims a server, blocking the process in priority-FIFO order
-// until one is free. Lower prio values are served first.
-func (r *Resource) Acquire(p *Proc, prio int) {
-	if r.inUse < r.capacity && r.QueueLen() == 0 {
-		r.accountBusy()
-		r.inUse++
-		r.lastBusy = r.inUse
+// Acquire claims a server, blocking the process until one is handed to it,
+// after every continuation and every process that queued before.
+func (r *Resource) Acquire(p *Proc) {
+	if r.take() {
 		return
 	}
-	arrived := r.sim.now
-	r.enqueue(resWaiter{p: p, prio: prio})
+	r.procs.Push(p)
 	p.park()
-	r.totalWaits++
-	r.totalWaitTime += r.sim.now - arrived
 }
 
 // AcquireFunc is the continuation-style Acquire for callback actors: if a
-// server is free (and nobody is queued ahead) fn runs synchronously with the
-// server held; otherwise the continuation waits in the same priority-FIFO
-// queue as blocking processes and runs (via the calendar, like a woken
-// process) once a server is handed to it. The caller must eventually call
-// Release from fn's continuation chain. Kernel context only.
-func (r *Resource) AcquireFunc(prio int, fn func()) {
-	if r.inUse < r.capacity && r.QueueLen() == 0 {
-		r.accountBusy()
-		r.inUse++
-		r.lastBusy = r.inUse
+// server is free fn runs synchronously with the server held; otherwise the
+// continuation queues, ahead of every queued process, and runs (via the
+// calendar, like a woken process) once a server is handed to it. The caller
+// must eventually call Release from fn's continuation chain. Kernel context
+// only.
+func (r *Resource) AcquireFunc(fn func()) {
+	if r.take() {
 		fn()
 		return
 	}
-	r.enqueue(resWaiter{fn: fn, prio: prio, arrived: r.sim.now})
-}
-
-// enqueue inserts w before the first waiter with a strictly larger prio
-// value (priority-FIFO). The queue is sorted by prio, so that is just after
-// the last waiter whose prio is not larger, found from the tail: an arrival
-// whose prio is no smaller than the last waiter's, the common case, scans
-// nothing.
-func (r *Resource) enqueue(w resWaiter) {
-	if len(r.queue) == cap(r.queue) && r.head > 0 && 2*r.head >= len(r.queue) {
-		n := copy(r.queue, r.queue[r.head:])
-		clear(r.queue[n:])
-		r.queue = r.queue[:n]
-		r.head = 0
-	}
-	i := len(r.queue)
-	for i > r.head && r.queue[i-1].prio > w.prio {
-		i--
-	}
-	r.queue = append(r.queue, resWaiter{})
-	copy(r.queue[i+1:], r.queue[i:])
-	r.queue[i] = w
+	r.fns.Push(fn)
 }
 
 // Release frees a server and, if someone is waiting, hands it over.
@@ -159,39 +98,20 @@ func (r *Resource) Release() {
 		panic("sim: Release on idle resource")
 	}
 	r.accountBusy()
-	for r.head < len(r.queue) {
-		w := r.queue[r.head]
-		r.queue[r.head] = resWaiter{} // drop the references for the collector
-		r.head++
-		if r.head == len(r.queue) {
-			r.queue = r.queue[:0]
-			r.head = 0
-		}
-		if w.fn != nil {
-			// Continuation waiter: the server passes directly to it; the
-			// continuation runs through the calendar exactly where a woken
-			// process would. Wait accounting happens here (same simulated
-			// instant the woken process would record it).
-			r.totalWaits++
-			r.totalWaitTime += r.sim.now - w.arrived
-			r.sim.After(0, w.fn)
+	if r.fns.Len() > 0 {
+		// The server passes directly to the continuation, which runs
+		// through the calendar exactly where a woken process would.
+		r.sim.After(0, r.fns.Pop())
+		return
+	}
+	for r.procs.Len() > 0 {
+		// A process killed while queued is skipped, so the server is not
+		// stranded on it.
+		if p := r.procs.Pop(); !p.done {
+			r.sim.After(0, p.wakeFn)
 			return
 		}
-		if w.p.done {
-			continue // waiter was killed while queued; do not strand the server on it
-		}
-		// Server passes directly to the waiter; inUse unchanged.
-		r.sim.After(0, w.p.wakeFn)
-		return
 	}
 	r.inUse--
 	r.lastBusy = r.inUse
-}
-
-// Use acquires a server, holds it for d, then releases it: the common
-// "occupy a server for a service time" pattern.
-func (r *Resource) Use(p *Proc, prio int, d Time) {
-	r.Acquire(p, prio)
-	p.Sleep(d)
-	r.Release()
 }

@@ -30,7 +30,7 @@ func TestStressDeterminism(t *testing.T) {
 			s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for j := 0; j < 5; j++ {
 					p.Sleep(d)
-					res.Acquire(p, next(3))
+					res.Acquire(p)
 					p.Sleep(Time(next(100)+1) * Microsecond)
 					res.Release()
 					if i%3 == 0 {
@@ -70,8 +70,8 @@ func TestResourceConservation(t *testing.T) {
 			d := Time(int(seed)%50+1+i) * Microsecond
 			s.Spawn("w", func(p *Proc) {
 				for j := 0; j < 3; j++ {
-					res.Acquire(p, j%2)
-					if res.InUse() > cap {
+					res.Acquire(p)
+					if res.inUse > cap {
 						over = true
 					}
 					p.Sleep(d)
@@ -81,7 +81,7 @@ func TestResourceConservation(t *testing.T) {
 		}
 		s.Run(10 * Second)
 		s.Shutdown()
-		return !over && res.InUse() == 0 && res.QueueLen() == 0
+		return !over && res.inUse == 0 && res.fns.Len() == 0 && res.procs.Len() == 0
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -514,7 +514,7 @@ func TestStressHandOff(t *testing.T) {
 					case 0:
 						p.Sleep(Time(next(50)+1) * Microsecond)
 					case 1:
-						res.Acquire(p, next(3))
+						res.Acquire(p)
 						p.Sleep(Time(next(20)+1) * Microsecond)
 						res.Release()
 					case 2:
