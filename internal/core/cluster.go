@@ -156,7 +156,7 @@ func New(p Params) (*Cluster, error) {
 	// Network.
 	var portSetup func(*netsim.Qdisc)
 	if p.WFQRouters {
-		portSetup = func(q *netsim.Qdisc) { q.SetDiscipline(netsim.DiscWFQ, nil) }
+		portSetup = func(q *netsim.Qdisc) { q.SetDiscipline(netsim.DiscWFQ) }
 	}
 	c.Topo = netsim.BuildTopology(s, netsim.TopologyConfig{
 		NodesPerLata:          p.LataLayout(),

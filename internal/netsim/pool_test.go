@@ -42,7 +42,7 @@ func TestQdiscPassThroughDoesNotAllocate(t *testing.T) {
 		for _, burst := range []int{1, 4} {
 			n := New(sim.New())
 			q := NewQdisc(n, bigCfg())
-			q.SetDiscipline(disc.d, nil)
+			q.SetDiscipline(disc.d)
 			pkts := make([]*Packet, burst)
 			for i := range pkts {
 				pkts[i] = n.AllocPacket()

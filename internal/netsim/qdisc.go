@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"dclue/internal/rng"
 	"dclue/internal/sim"
 	"dclue/internal/telemetry"
 )
@@ -31,8 +30,8 @@ func DefaultQdiscConfig() QdiscConfig {
 
 // Qdisc is the output queue at every NIC and router output port. The
 // default configuration matches the paper: strict priority across classes
-// with tail drop and optional ECN marking; WFQ scheduling and (W)RED
-// dropping are available for the QoS ablations (see qos.go).
+// with tail drop and optional ECN marking; WFQ scheduling is available for
+// the QoS ablation (see qos.go).
 type Qdisc struct {
 	net  *Network
 	cfg  QdiscConfig
@@ -41,11 +40,7 @@ type Qdisc struct {
 	link *Link
 
 	discipline Discipline
-	weights    [NumClasses]float64
 	deficit    [NumClasses]float64
-	dropPolicy DropPolicy
-	red        REDConfig
-	rnd        *rng.Stream
 
 	// Statistics.
 	DropsByClass [NumClasses]uint64
@@ -62,11 +57,7 @@ func (q *Qdisc) SetTelemetry(t *telemetry.QueueTel) { q.tel = t }
 // NewQdisc returns an empty queue with the given limits, in the paper's
 // default arrangement (strict priority, tail drop).
 func NewQdisc(n *Network, cfg QdiscConfig) *Qdisc {
-	q := &Qdisc{net: n, cfg: cfg}
-	for c := range q.weights {
-		q.weights[c] = 1
-	}
-	return q
+	return &Qdisc{net: n, cfg: cfg}
 }
 
 // Enqueue adds pkt, applying tail drop and ECN marking, and kicks the
@@ -77,7 +68,7 @@ func (q *Qdisc) Enqueue(pkt *Packet) {
 		c = ClassBestEffort
 		pkt.Class = c
 	}
-	if !q.admit(pkt, c) {
+	if limit := q.cfg.LimitBytes[c]; limit > 0 && q.size[c]+pkt.Size > limit {
 		q.DropsByClass[c]++
 		q.net.Drops++
 		q.net.freePacket(pkt)

@@ -3,7 +3,6 @@ package netsim
 import (
 	"testing"
 
-	"dclue/internal/rng"
 	"dclue/internal/sim"
 )
 
@@ -49,7 +48,7 @@ func TestWFQSharesEvenly(t *testing.T) {
 	s := sim.New()
 	n := New(s)
 	q := NewQdisc(n, bigCfg())
-	q.SetDiscipline(DiscWFQ, nil) // equal weights
+	q.SetDiscipline(DiscWFQ)
 	be, af := drainRatio(q, 200)
 	if be == 0 || af == 0 {
 		t.Fatalf("WFQ starved a class: be=%d af=%d", be, af)
@@ -60,26 +59,11 @@ func TestWFQSharesEvenly(t *testing.T) {
 	}
 }
 
-func TestWFQRespectsWeights(t *testing.T) {
-	s := sim.New()
-	n := New(s)
-	q := NewQdisc(n, bigCfg())
-	q.SetDiscipline(DiscWFQ, []float64{3, 1}) // best-effort gets 3x
-	be, af := drainRatio(q, 200)
-	if af == 0 {
-		t.Fatal("weighted WFQ starved the light class")
-	}
-	ratio := float64(be) / float64(af)
-	if ratio < 2.0 || ratio > 4.5 {
-		t.Fatalf("3:1 WFQ delivered ratio %.2f", ratio)
-	}
-}
-
 func TestWFQDrainsCompletely(t *testing.T) {
 	s := sim.New()
 	n := New(s)
 	q := NewQdisc(n, bigCfg())
-	q.SetDiscipline(DiscWFQ, []float64{1, 1})
+	q.SetDiscipline(DiscWFQ)
 	for i := 0; i < 10; i++ {
 		q.Enqueue(&Packet{Size: 500, Class: ClassBestEffort})
 	}
@@ -92,56 +76,6 @@ func TestWFQDrainsCompletely(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Fatal("queue not empty")
-	}
-}
-
-func TestREDDropsEarly(t *testing.T) {
-	s := sim.New()
-	n := New(s)
-	cfg := QdiscConfig{LimitBytes: [NumClasses]int{100 * 1000, 100 * 1000}}
-	q := NewQdisc(n, cfg)
-	q.SetDropPolicy(DropRED, DefaultREDConfig(100*1000), rng.New(5))
-	drops := uint64(0)
-	for i := 0; i < 90; i++ {
-		q.Enqueue(&Packet{Size: 1000, Class: ClassBestEffort})
-	}
-	drops = q.DropsByClass[ClassBestEffort]
-	if drops == 0 {
-		t.Fatal("RED never dropped below the hard limit")
-	}
-	// But queue must still have admitted most packets (early drop is
-	// probabilistic, not a cliff).
-	if q.Len() < 50 {
-		t.Fatalf("RED dropped too aggressively: %d queued", q.Len())
-	}
-}
-
-func TestREDNeverDropsBelowMin(t *testing.T) {
-	s := sim.New()
-	n := New(s)
-	cfg := QdiscConfig{LimitBytes: [NumClasses]int{100 * 1000, 100 * 1000}}
-	q := NewQdisc(n, cfg)
-	q.SetDropPolicy(DropRED, DefaultREDConfig(100*1000), rng.New(5))
-	for i := 0; i < 20; i++ { // 20 KB < 25 KB min threshold
-		q.Enqueue(&Packet{Size: 1000, Class: ClassBestEffort})
-	}
-	if q.DropsByClass[ClassBestEffort] != 0 {
-		t.Fatal("RED dropped below the minimum threshold")
-	}
-}
-
-func TestREDHardLimitStillApplies(t *testing.T) {
-	s := sim.New()
-	n := New(s)
-	cfg := QdiscConfig{LimitBytes: [NumClasses]int{10 * 1000, 10 * 1000}}
-	q := NewQdisc(n, cfg)
-	// RED window far above the hard limit: the limit must still bound it.
-	q.SetDropPolicy(DropRED, REDConfig{MinBytes: 1e9, MaxBytes: 2e9, MaxProb: 0}, rng.New(5))
-	for i := 0; i < 50; i++ {
-		q.Enqueue(&Packet{Size: 1000, Class: ClassBestEffort})
-	}
-	if q.Depth() > 10*1000 {
-		t.Fatalf("depth %d exceeds hard limit", q.Depth())
 	}
 }
 
@@ -158,7 +92,7 @@ func TestWFQProtectsDBMSUnderCrossTraffic(t *testing.T) {
 		back := n.NIC(1).Attach(r, 1e7, sim.Microsecond) // 10 Mb/s bottleneck
 		n.NIC(1).SetEndpoint(&collector{s: s})
 		if wfq {
-			back.SetDiscipline(DiscWFQ, []float64{1, 1})
+			back.SetDiscipline(DiscWFQ)
 		}
 		// Saturating AF21 aggressor plus sparse best-effort probes.
 		s.Spawn("load", func(p *sim.Proc) {

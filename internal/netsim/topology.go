@@ -36,7 +36,7 @@ type TopologyConfig struct {
 	WithExtraHosts bool // attach the FTP cross-traffic endpoints
 
 	// PortSetup, when non-nil, is applied to every router port queue as it
-	// is created (QoS ablations: WFQ weights, RED, ...).
+	// is created (the QoS ablation switches it to WFQ).
 	PortSetup func(*Qdisc)
 }
 
