@@ -2,7 +2,6 @@ package db
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -145,8 +144,8 @@ type refWaiter struct {
 	id  int
 }
 
-// refTable is the oracle for LockService. It logs grants by waiter id and
-// counts grants to a waiter whose TxnRef already held the lock.
+// refTable is the oracle for LockService. It logs the grants to queued
+// waiters by id and counts those whose TxnRef already held the lock.
 type refTable struct {
 	locks       map[ResourceID]*refLock
 	grants      []int
@@ -240,14 +239,14 @@ func (m *refTable) releaseNode(node int) {
 	}
 }
 
-// TestLockTableOracle drives random sequences of requests (waiting and
-// NoWait), releases (held and unheld), cancels (queued and granted),
-// ReleaseNode and DropHomedAt against refTable, on 3 resources with
-// TxnRefs from 3 nodes. Requests often reuse the TxnRef of a transaction
-// already holding or queued on the resource, as two transactions that
-// share a TxnRef do. After every step the holders and the queued TxnRefs
-// must agree; the grant order, by waiter, must agree at the end, after
-// every lock is released.
+// TestLockTableOracle drives random sequences of requests (TryLock, then
+// Wait unless NoWait), releases (held and unheld), cancels (queued and
+// granted), ReleaseNode and DropHomedAt against refTable, on 3 resources
+// with TxnRefs from 3 nodes. Requests often reuse the TxnRef of a
+// transaction already holding or queued on the resource, as two
+// transactions that share a TxnRef do. After every step the holders and
+// the queued TxnRefs must agree; the order in which queued waiters are
+// granted must agree at the end, after every lock is released.
 func TestLockTableOracle(t *testing.T) {
 	resources := []ResourceID{res1, res2, {Table: 2, Block: 5, Subpage: 0}}
 	kinds := map[string]int{}
@@ -258,7 +257,6 @@ func TestLockTableOracle(t *testing.T) {
 		m := &refTable{locks: map[ResourceID]*refLock{}}
 		var grants []int
 		nextID := 0
-		randTxn := func() TxnRef { return tx(r.Intn(3), uint64(1+r.Intn(3))) }
 		// known picks a TxnRef that holds or waits on res, or a random one.
 		known := func(res ResourceID) TxnRef {
 			if e := m.locks[res]; e != nil && r.Intn(4) > 0 {
@@ -274,7 +272,7 @@ func TestLockTableOracle(t *testing.T) {
 				})
 				return refs[r.Intn(len(refs))]
 			}
-			return randTxn()
+			return tx(r.Intn(3), uint64(1+r.Intn(3)))
 		}
 		check := func(step int, op string) {
 			t.Helper()
@@ -309,31 +307,23 @@ func TestLockTableOracle(t *testing.T) {
 			res := resources[r.Intn(len(resources))]
 			var op string
 			switch k := r.Intn(20); {
-			case k < 8: // a waiting request
-				txn := known(res)
-				id := nextID
-				nextID++
-				ok := request(ls, res, txn, func() { grants = append(grants, id) })
-				if want := m.request(res, txn); ok != want {
-					t.Fatalf("seed %d step %d: request %v on %v granted %v, oracle %v", seed, step, txn, res, ok, want)
-				}
-				if ok {
-					op = "grant"
-					grants = append(grants, id)
-					m.grants = append(m.grants, id)
-				} else {
-					op = "wait"
-					m.wait(res, txn, id)
-				}
-			case k < 10: // a NoWait request
+			case k < 10: // a request, NoWait when k >= 8
 				txn := known(res)
 				ok := ls.TryLock(res, txn)
 				if want := m.request(res, txn); ok != want {
-					t.Fatalf("seed %d step %d: NoWait %v on %v granted %v, oracle %v", seed, step, txn, res, ok, want)
+					t.Fatalf("seed %d step %d: request %v on %v granted %v, oracle %v", seed, step, txn, res, ok, want)
 				}
-				op = "nowait-grant"
-				if !ok {
+				switch {
+				case ok:
+					op = "grant"
+				case k >= 8:
 					op = "nowait-refuse"
+				default:
+					op = "wait"
+					id := nextID
+					nextID++
+					ls.Wait(res, txn, func() { grants = append(grants, id) })
+					m.wait(res, txn, id)
 				}
 			case k < 14:
 				txn := known(res)
@@ -391,7 +381,7 @@ func TestLockTableOracle(t *testing.T) {
 		}
 		sameRef += m.sameRefPump
 	}
-	for _, op := range []string{"grant", "wait", "nowait-grant", "nowait-refuse", "release", "release-unheld",
+	for _, op := range []string{"grant", "wait", "nowait-refuse", "release", "release-unheld",
 		"cancel-queued", "cancel-granted", "release-node", "drop-homed"} {
 		if kinds[op] == 0 {
 			t.Errorf("no %s step in any seed", op)
@@ -400,5 +390,5 @@ func TestLockTableOracle(t *testing.T) {
 	if sameRef == 0 {
 		t.Error("no queued waiter was granted alongside a holder with its TxnRef")
 	}
-	t.Log(fmt.Sprint(kinds, " same-TxnRef pump grants: ", sameRef))
+	t.Log(kinds, "same-TxnRef pump grants:", sameRef)
 }
