@@ -158,17 +158,10 @@ func (bc *BufferCache) Steal() bool {
 		return false
 	}
 	old := bc.pool[i]
-	delete(bc.index, old.Blk)
+	bc.remove(i)
 	bc.Evictions++
 	if bc.onEvict != nil {
 		bc.onEvict(old.Blk, old.Dirty)
-	}
-	last := len(bc.pool) - 1
-	bc.pool[i] = bc.pool[last]
-	bc.index[bc.pool[i].Blk] = i
-	bc.pool = bc.pool[:last]
-	if bc.hand >= last && last > 0 {
-		bc.hand = 0
 	}
 	bc.stolen++
 	return true
@@ -208,14 +201,21 @@ func (bc *BufferCache) Each(fn func(*Frame)) {
 // Invalidate drops a block (e.g., the current copy moved to another node in
 // exclusive mode). No eviction callback: the directory already knows.
 func (bc *BufferCache) Invalidate(blk BlockID) {
-	i, ok := bc.index[blk]
-	if !ok {
-		return
+	if i, ok := bc.index[blk]; ok {
+		bc.remove(i)
 	}
+}
+
+// remove drops the frame at pool slot i by moving the last frame into the
+// slot; when i is the last slot there is nothing to move.
+func (bc *BufferCache) remove(i int) {
+	delete(bc.index, bc.pool[i].Blk)
 	last := len(bc.pool) - 1
-	delete(bc.index, blk)
-	bc.pool[i] = bc.pool[last]
-	bc.index[bc.pool[i].Blk] = i
+	if i != last {
+		bc.pool[i] = bc.pool[last]
+		bc.index[bc.pool[i].Blk] = i
+	}
+	bc.pool[last] = nil
 	bc.pool = bc.pool[:last]
 	if bc.hand >= last && last > 0 {
 		bc.hand = 0

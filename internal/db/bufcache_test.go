@@ -1,6 +1,10 @@
 package db
 
-import "testing"
+import (
+	"testing"
+
+	"dclue/internal/rng"
+)
 
 func blk(t TableID, b int64) BlockID { return BlockID{t, b} }
 
@@ -166,4 +170,72 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 	bc.InsertPinned(blk(0, 1))
 	bc.Unpin(blk(0, 1))
 	bc.Unpin(blk(0, 1))
+}
+
+// TestCacheRandomOpsConsistent runs random operations on small caches and
+// checks after every step that pool and index describe the same frames,
+// that Contains and Peek agree with them, and that no pin count is
+// negative. Steal and Invalidate often remove the pool's last frame, the
+// slot a swap-remove has nothing to move into.
+func TestCacheRandomOpsConsistent(t *testing.T) {
+	const blocks = 24
+	var lastStolen, lastInvalidated int
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		bc := NewBufferCache(8, nil)
+		for step := 0; step < 400; step++ {
+			b := blk(0, int64(r.Intn(blocks)))
+			var tail BlockID
+			if n := len(bc.pool); n > 0 {
+				tail = bc.pool[n-1].Blk
+			}
+			before := bc.Len()
+			op := r.Intn(9)
+			switch op {
+			case 0, 1:
+				bc.InsertPinned(b)
+			case 2:
+				bc.InsertWarm(b)
+			case 3:
+				bc.Lookup(b)
+			case 4, 5:
+				if f := bc.Peek(b); f != nil && f.Pins > 0 {
+					bc.Unpin(b)
+				}
+			case 6:
+				if bc.Steal() && !bc.Contains(tail) && bc.Len() == before-1 {
+					lastStolen++
+				}
+			case 7:
+				if bc.Len() > 0 && r.Intn(2) == 0 {
+					b = tail
+					lastInvalidated++
+				}
+				bc.Invalidate(b)
+			case 8:
+				bc.ReturnStolen()
+			}
+			if len(bc.index) != len(bc.pool) {
+				t.Fatalf("seed %d step %d op %d: index holds %d blocks, pool %d frames", seed, step, op, len(bc.index), len(bc.pool))
+			}
+			for i, f := range bc.pool {
+				if j, ok := bc.index[f.Blk]; !ok || j != i {
+					t.Fatalf("seed %d step %d op %d: pool[%d] holds %v, indexed at %d (%v)", seed, step, op, i, f.Blk, j, ok)
+				}
+				if f.Pins < 0 {
+					t.Fatalf("seed %d step %d op %d: %v has %d pins", seed, step, op, f.Blk, f.Pins)
+				}
+			}
+			for k := int64(0); k < blocks; k++ {
+				b := blk(0, k)
+				f := bc.Peek(b)
+				if bc.Contains(b) != (f != nil) || (f != nil && f.Blk != b) {
+					t.Fatalf("seed %d step %d op %d: Contains(%v) = %v, Peek = %v", seed, step, op, b, bc.Contains(b), f)
+				}
+			}
+		}
+	}
+	if lastStolen == 0 || lastInvalidated == 0 {
+		t.Fatalf("last frame stolen %d times, invalidated %d times: want both > 0", lastStolen, lastInvalidated)
+	}
 }
