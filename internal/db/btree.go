@@ -12,6 +12,7 @@ package db
 // and its depth feeds the index-traversal path-length charge.
 type BTree struct {
 	root   *btNode
+	last   *btNode // rightmost leaf, the tail of the leaf chain
 	degree int
 	size   int
 }
@@ -33,7 +34,8 @@ func NewBTree(degree int) *BTree {
 	if degree < 4 {
 		degree = 4
 	}
-	return &BTree{root: &btNode{leaf: true}, degree: degree}
+	root := &btNode{leaf: true}
+	return &BTree{root: root, last: root, degree: degree}
 }
 
 // Len returns the number of stored keys.
@@ -81,7 +83,21 @@ func (t *BTree) Get(k int64) (int64, bool) {
 }
 
 // Put inserts or replaces the value for k.
+//
+// A k above every key of a non-empty rightmost leaf that has room is
+// appended there without a descent, which is how the database build loads
+// each table. This is exactly the descent's result: every key in the
+// rightmost leaf was routed through the last separator of each node on the
+// right spine, so it is at least each of them, and k, being greater than
+// the leaf's last key, would take the same route, land past that key and
+// split nothing. An empty rightmost leaf bounds nothing, so it descends.
 func (t *BTree) Put(k, v int64) {
+	if n := t.last; len(n.keys) > 0 && len(n.keys) < t.degree && k > n.keys[len(n.keys)-1] {
+		n.keys = append(n.keys, k)
+		n.vals = append(n.vals, v)
+		t.size++
+		return
+	}
 	sep, right := t.insert(t.root, k, v)
 	if right != nil {
 		t.root = &btNode{
@@ -132,17 +148,22 @@ func (t *BTree) insert(n *btNode, k, v int64) (int64, *btNode) {
 	return 0, nil
 }
 
+// splitLeaf moves the upper half of n into a new right sibling. The lower
+// half, which the loader never extends again, is copied into exact-size
+// slices; the upper half is moved down n's buffers and keeps them, so under
+// ascending inserts only the rightmost leaf's buffers ever grow.
 func (t *BTree) splitLeaf(n *btNode) (int64, *btNode) {
 	mid := len(n.keys) / 2
-	right := &btNode{
-		leaf: true,
-		keys: append([]int64(nil), n.keys[mid:]...),
-		vals: append([]int64(nil), n.vals[mid:]...),
-		next: n.next,
-	}
-	n.keys = n.keys[:mid]
-	n.vals = n.vals[:mid]
+	keys, vals := n.keys, n.vals
+	n.keys = append(make([]int64, 0, mid), keys[:mid]...)
+	n.vals = append(make([]int64, 0, mid), vals[:mid]...)
+	m := copy(keys, keys[mid:])
+	copy(vals, vals[mid:])
+	right := &btNode{leaf: true, keys: keys[:m], vals: vals[:m], next: n.next}
 	n.next = right
+	if t.last == n {
+		t.last = right
+	}
 	return right.keys[0], right
 }
 
