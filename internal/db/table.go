@@ -72,9 +72,9 @@ type Table struct {
 	// 1.0 workloads generate (almost) no cross-node block traffic, as the
 	// paper reports.
 	nextBlock int64
-	cur       map[int]*allocExtent
-	freeRows  map[int][]int64
-	blockHome []int16 // data block -> owning node
+	cur       []allocExtent // [home] the block being filled
+	freeRows  [][]int64     // [home] recycled row slots
+	blockHome []int16       // data block -> owning node
 
 	// indexFanout controls how many data blocks one index leaf covers.
 	indexFanout int64
@@ -82,9 +82,10 @@ type Table struct {
 	Inserts, Deletes uint64
 }
 
+// allocExtent is the unfilled rest of a home's open block: row ids
+// [next, end). The zero value is a full extent.
 type allocExtent struct {
-	block int64
-	used  int
+	next, end int64
 }
 
 // Catalog is the cluster-wide set of tables.
@@ -123,8 +124,8 @@ func (c *Catalog) AddTable(spec TableSpec) *Table {
 		RowsPerBlock: rpb,
 		Index:        NewBTree(64),
 		indexFanout:  64,
-		cur:          make(map[int]*allocExtent),
-		freeRows:     make(map[int][]int64),
+		cur:          make([]allocExtent, c.nodes),
+		freeRows:     make([][]int64, c.nodes),
 	}
 	c.Tables = append(c.Tables, t)
 	return t
@@ -192,16 +193,16 @@ func (t *Table) InsertFresh(key int64, home int) (row int64, fresh bool) {
 		row = fr[len(fr)-1]
 		t.freeRows[home] = fr[:len(fr)-1]
 	} else {
-		ext := t.cur[home]
-		if ext == nil || ext.used == t.RowsPerBlock {
-			ext = &allocExtent{block: t.nextBlock}
+		ext := &t.cur[home]
+		if ext.next == ext.end {
+			rpb := int64(t.RowsPerBlock)
+			*ext = allocExtent{next: t.nextBlock * rpb, end: (t.nextBlock + 1) * rpb}
 			t.nextBlock++
-			t.cur[home] = ext
 			t.blockHome = append(t.blockHome, int16(home))
 			fresh = true
 		}
-		row = ext.block*int64(t.RowsPerBlock) + int64(ext.used)
-		ext.used++
+		row = ext.next
+		ext.next++
 	}
 	t.Index.Put(key, row)
 	t.Inserts++

@@ -8,6 +8,8 @@
 package tpcc
 
 import (
+	"slices"
+
 	"dclue/internal/db"
 	"dclue/internal/rng"
 	"dclue/internal/sim"
@@ -209,10 +211,10 @@ func boolToCarrier(delivered bool, r *rng.Stream) int8 {
 
 // setOrder grows and fills the order attribute arrays.
 func (e *Engine) setOrder(row int64, cust int32, cnt, carrier int8) {
-	for int64(len(e.orderCust)) <= row {
-		e.orderCust = append(e.orderCust, 0)
-		e.orderOLCnt = append(e.orderOLCnt, 0)
-		e.orderCarrier = append(e.orderCarrier, 0)
+	if n := int(row) + 1; n > len(e.orderCust) {
+		e.orderCust = extend(e.orderCust, n)
+		e.orderOLCnt = extend(e.orderOLCnt, n)
+		e.orderCarrier = extend(e.orderCarrier, n)
 	}
 	e.orderCust[row] = cust
 	e.orderOLCnt[row] = cnt
@@ -221,12 +223,21 @@ func (e *Engine) setOrder(row int64, cust int32, cnt, carrier int8) {
 
 // setOrderLine grows and fills the order-line attribute arrays.
 func (e *Engine) setOrderLine(row int64, item int32, delivered bool) {
-	for int64(len(e.olItem)) <= row {
-		e.olItem = append(e.olItem, 0)
-		e.olDelivered = append(e.olDelivered, false)
+	if n := int(row) + 1; n > len(e.olItem) {
+		e.olItem = extend(e.olItem, n)
+		e.olDelivered = extend(e.olDelivered, n)
 	}
 	e.olItem[row] = item
 	e.olDelivered[row] = delivered
+}
+
+// extend lengthens s to n elements, zeroing the new ones; slices.Grow
+// grows a full backing array geometrically, as append does.
+func extend[T any](s []T, n int) []T {
+	m := len(s)
+	s = slices.Grow(s, n-m)[:n]
+	clear(s[m:])
+	return s
 }
 
 // WarehouseOwner returns the node homing warehouse w.
