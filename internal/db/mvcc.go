@@ -12,13 +12,13 @@ type verKey struct {
 	Row   int64
 }
 
-// versionChain tracks the version numbers of one row, exactly as §2.3
-// describes: minimum, maximum, and current version number, with timestamps
-// for snapshot selection.
+// versionChain tracks the live versions of one row (§2.3): the creation
+// time of each, for snapshot selection, and the per-version size. The
+// paper's minimum, maximum and current version numbers are not kept, since
+// nothing in the model reads them.
 type versionChain struct {
-	minVer, maxVer, curVer uint64
-	stamps                 []sim.Time // creation time per live version (ascending)
-	bytes                  int        // per-version size (row bytes)
+	stamps []sim.Time // creation time per live version (ascending)
+	bytes  int        // per-version size (row bytes)
 }
 
 // VersionManager is one node's multi-version state: a timestamp-ordered
@@ -71,11 +71,6 @@ func (vm *VersionManager) Create(t *Table, row int64, now sim.Time) int {
 	if ch == nil {
 		ch = &versionChain{bytes: t.Spec.RowBytes}
 		vm.chains[k] = ch
-	}
-	ch.curVer++
-	ch.maxVer = ch.curVer
-	if ch.minVer == 0 {
-		ch.minVer = ch.curVer
 	}
 	ch.stamps = append(ch.stamps, now)
 	if len(ch.stamps) == 2 {
@@ -133,7 +128,6 @@ func (vm *VersionManager) GC(minActive sim.Time) {
 		}
 		if dropped > 0 {
 			ch.stamps = keep
-			ch.minVer += uint64(dropped)
 			bytes := dropped * ch.bytes
 			vm.used -= bytes
 			vm.Collected += uint64(dropped)
