@@ -149,9 +149,9 @@ func (t *BTree) insert(n *btNode, k, v int64) (int64, *btNode) {
 }
 
 // splitLeaf moves the upper half of n into a new right sibling. The lower
-// half, which the loader never extends again, is copied into exact-size
-// slices; the upper half is moved down n's buffers and keeps them, so under
-// ascending inserts only the rightmost leaf's buffers ever grow.
+// half, which ascending inserts never extend again, is copied into
+// exact-size slices; the upper half is moved down n's buffers and keeps
+// them, so under ascending inserts only the rightmost leaf's buffers grow.
 func (t *BTree) splitLeaf(n *btNode) (int64, *btNode) {
 	mid := len(n.keys) / 2
 	keys, vals := n.keys, n.vals
