@@ -10,11 +10,10 @@ import (
 // TestBuildAllocs gates the database build on work that does not depend on
 // the host: the heap allocations of one New at perfbench's oltp-local
 // configuration (4 nodes, 32 warehouses, seed 1), which loads about 0.5 M
-// index entries. The ceilings sit just above the counts measured with the
-// B+-tree's rightmost-leaf append and exact-size leaf splits (76,526
-// mallocs and 25.97 MB per build; 76,707 and 25.98 MB under -race). A
-// build that regrows buffers per row again, as the one before them did
-// with 115,362 mallocs and 45.28 MB, fails here on any host.
+// index entries. The ceilings sit just above the measured counts (76,526
+// mallocs and 25.97 MB per build; 76,707 and 25.98 MB under -race), so a
+// change that makes the build regrow buffers per row or per leaf fails
+// here on any host.
 func TestBuildAllocs(t *testing.T) {
 	const (
 		maxMallocs = 77_000
