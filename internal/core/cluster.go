@@ -145,7 +145,9 @@ func New(p Params) (*Cluster, error) {
 	}
 	s := sim.New()
 	c := &Cluster{P: p, Sim: s}
-	c.respHist = newRespHist()
+	// 0.25 ms buckets to 8 s, matching the trace layer's span-total
+	// histogram.
+	c.respHist = stats.NewHistogram(0.25, 32000)
 	if p.Trace != nil {
 		c.tr = p.Trace.NewRun(p.label())
 	}
@@ -318,10 +320,6 @@ func (c *Cluster) startTimeline() {
 	}
 	c.Sim.After(bucket, sample)
 }
-
-// newRespHist allocates the client response-time histogram: 0.25 ms buckets
-// to 8 s, matching the trace layer's span histograms.
-func newRespHist() *stats.Histogram { return stats.NewHistogram(0.25, 32000) }
 
 // Run builds a cluster from p and simulates it to completion.
 func Run(p Params) (Metrics, error) {
@@ -541,7 +539,7 @@ func (c *Cluster) resetStats() {
 	}
 	c.rollbacks, c.retries, c.failures = 0, 0, 0
 	c.respTally = respTimes{}
-	c.respHist = newRespHist()
+	c.respHist.Reset()
 	for _, n := range c.nodes {
 		n.dbn.Stats = db.NodeStats{}
 		n.dbn.GCS.Stats = db.GCSStats{}

@@ -158,6 +158,12 @@ func (h *Histogram) Add(x float64) {
 	h.buckets[i]++
 }
 
+// Reset discards all observations, keeping the buckets' memory.
+func (h *Histogram) Reset() {
+	clear(h.buckets)
+	h.tally.Reset()
+}
+
 // N returns the number of observations.
 func (h *Histogram) N() uint64 { return h.tally.N() }
 

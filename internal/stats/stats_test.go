@@ -129,6 +129,35 @@ func TestHistogramMeanAndQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramReset checks that a reset histogram reads as a fresh one,
+// empty and after the same observations, and keeps its buckets' memory.
+func TestHistogramReset(t *testing.T) {
+	h, fresh := NewHistogram(1.0, 50), NewHistogram(1.0, 50)
+	for i := 0; i < 200; i++ {
+		h.Add(float64(i % 70))
+	}
+	buckets := &h.buckets[0]
+	h.Reset()
+	if h.N() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatalf("after Reset: N %d, mean %v, median %v", h.N(), h.Mean(), h.Quantile(0.5))
+	}
+	for _, x := range []float64{3, 3.5, 12, 49, 80} {
+		h.Add(x)
+		fresh.Add(x)
+	}
+	for _, q := range []float64{0, 0.2, 0.5, 0.8, 0.99} {
+		if h.Quantile(q) != fresh.Quantile(q) {
+			t.Errorf("Quantile(%v) = %v, fresh histogram %v", q, h.Quantile(q), fresh.Quantile(q))
+		}
+	}
+	if h.N() != fresh.N() || h.Mean() != fresh.Mean() {
+		t.Errorf("N %d mean %v, fresh histogram N %d mean %v", h.N(), h.Mean(), fresh.N(), fresh.Mean())
+	}
+	if &h.buckets[0] != buckets {
+		t.Error("Reset reallocated the buckets")
+	}
+}
+
 func TestHistogramRejectsBadGeometry(t *testing.T) {
 	for _, tc := range []struct {
 		width float64
