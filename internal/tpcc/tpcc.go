@@ -8,7 +8,7 @@
 package tpcc
 
 import (
-	"slices"
+	"fmt"
 
 	"dclue/internal/db"
 	"dclue/internal/rng"
@@ -82,11 +82,11 @@ type Engine struct {
 
 	// Dynamic attribute data, indexed by dense row id of the order /
 	// order-line tables.
-	orderCust    []int32
-	orderOLCnt   []int8
-	orderCarrier []int8
-	olItem       []int32
-	olDelivered  []bool
+	orderCust    paged[int32]
+	orderOLCnt   paged[int8]
+	orderCarrier paged[int8]
+	olItem       paged[int32]
+	olDelivered  paged[bool]
 
 	lastOrder []int32 // [cust key] most recent o_id, 0 if none
 
@@ -209,36 +209,52 @@ func boolToCarrier(delivered bool, r *rng.Stream) int8 {
 	return 0
 }
 
-// setOrder grows and fills the order attribute arrays.
+// setOrder fills the order attribute arrays at row.
 func (e *Engine) setOrder(row int64, cust int32, cnt, carrier int8) {
-	if n := int(row) + 1; n > len(e.orderCust) {
-		e.orderCust = extend(e.orderCust, n)
-		e.orderOLCnt = extend(e.orderOLCnt, n)
-		e.orderCarrier = extend(e.orderCarrier, n)
-	}
-	e.orderCust[row] = cust
-	e.orderOLCnt[row] = cnt
-	e.orderCarrier[row] = carrier
+	e.orderCust.set(row, cust)
+	e.orderOLCnt.set(row, cnt)
+	e.orderCarrier.set(row, carrier)
 }
 
-// setOrderLine grows and fills the order-line attribute arrays.
+// setOrderLine fills the order-line attribute arrays at row.
 func (e *Engine) setOrderLine(row int64, item int32, delivered bool) {
-	if n := int(row) + 1; n > len(e.olItem) {
-		e.olItem = extend(e.olItem, n)
-		e.olDelivered = extend(e.olDelivered, n)
-	}
-	e.olItem[row] = item
-	e.olDelivered[row] = delivered
+	e.olItem.set(row, item)
+	e.olDelivered.set(row, delivered)
 }
 
-// extend lengthens s to n elements, zeroing the new ones; slices.Grow
-// grows a full backing array geometrically, as append does.
-func extend[T any](s []T, n int) []T {
-	m := len(s)
-	s = slices.Grow(s, n-m)[:n]
-	clear(s[m:])
-	return s
+// pageLen is the length of one page of a paged array.
+const pageLen = 1 << 12
+
+// paged is an array of rows stored in pages of pageLen elements. It grows
+// a page at a time and never copies: a row, once written, stays where it
+// is, and the unused tail is less than one page.
+type paged[T any] struct {
+	pages []*[pageLen]T
+	n     int64 // rows 0..n-1 exist
 }
+
+// set stores v at row i, adding zeroed pages up to it.
+func (a *paged[T]) set(i int64, v T) {
+	if i >= a.n {
+		for int64(len(a.pages))*pageLen <= i {
+			a.pages = append(a.pages, new([pageLen]T))
+		}
+		a.n = i + 1
+	}
+	a.pages[i/pageLen][i%pageLen] = v
+}
+
+// at returns row i's element for reading or writing in place. It never
+// grows the array; past the last row set it panics, as a slice index does.
+func (a *paged[T]) at(i int64) *T {
+	if uint64(i) >= uint64(a.n) {
+		panic(fmt.Sprintf("tpcc: row %d out of range [0:%d]", i, a.n))
+	}
+	return &a.pages[i/pageLen][i%pageLen]
+}
+
+// get returns row i's value; see at.
+func (a *paged[T]) get(i int64) T { return *a.at(i) }
 
 // WarehouseOwner returns the node homing warehouse w.
 func (e *Engine) WarehouseOwner(w int) int { return e.whOwner[w] }

@@ -239,7 +239,7 @@ func (e *Engine) orderStatus(p *sim.Proc, n *db.Node, txn *db.Txn, req Request, 
 	if !ok {
 		return nil
 	}
-	cnt := int(e.orderOLCnt[orow])
+	cnt := int(e.orderOLCnt.get(orow))
 	count := 0
 	return n.Scan(p, txn, e.Tables[TOrderLine].ID, e.OLKey(w, d, oid, 0), func(k, row int64) bool {
 		count++
@@ -275,17 +275,17 @@ func (e *Engine) delivery(p *sim.Proc, n *db.Node, txn *db.Txn, req Request, r *
 		if err != nil {
 			return err
 		}
-		e.orderCarrier[orow] = int8(r.IntRange(1, 10))
+		*e.orderCarrier.at(orow) = int8(r.IntRange(1, 10))
 		oid := int(okey & ((1 << 24) - 1))
-		cnt := int(e.orderOLCnt[orow])
+		cnt := int(e.orderOLCnt.get(orow))
 		for l := 0; l < cnt; l++ {
 			lrow, err := n.Update(p, txn, e.Tables[TOrderLine].ID, e.OLKey(w, d, oid, l))
 			if err != nil {
 				return err
 			}
-			e.olDelivered[lrow] = true
+			*e.olDelivered.at(lrow) = true
 		}
-		cust := int(e.orderCust[orow])
+		cust := int(e.orderCust.get(orow))
 		if _, err := n.Update(p, txn, e.Tables[TCustomer].ID, e.CustKey(w, d, cust)); err != nil {
 			return err
 		}
@@ -317,7 +317,7 @@ func (e *Engine) stockLevel(p *sim.Proc, n *db.Node, txn *db.Txn, req Request, r
 			return false
 		}
 		count++
-		it := e.olItem[row]
+		it := e.olItem.get(row)
 		if !seen[it] {
 			seen[it] = true
 			items = append(items, it)
