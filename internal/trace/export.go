@@ -2,17 +2,17 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"dclue/internal/sim"
 )
 
 // Export formats. Span segments are retained only when KeepEvents was
-// enabled before the runs executed; histogram-only collectors export an
-// empty stream.
+// enabled before the runs executed; collectors that keep only aggregates
+// export an empty stream.
 //
 // Chrome trace_event JSON loads directly in chrome://tracing or Perfetto:
 // each run is a process (pid), each terminal a thread (tid) and each phase
@@ -46,27 +46,48 @@ func jsonEscape(s string) string {
 	return strings.ReplaceAll(s, `"`, `\"`)
 }
 
+// appendUs appends t in microseconds with three decimals, as fmt's %.3f
+// formats it.
+func appendUs(b []byte, t sim.Time) []byte {
+	return strconv.AppendFloat(b, us(t), 'f', 3, 64)
+}
+
 // WriteChrome writes the Chrome trace_event JSON array for every run.
 func (c *Collector) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "[\n")
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			fmt.Fprint(bw, ",\n")
+	bw.WriteString("[\n")
+	var b []byte
+	for i, r := range c.Runs() {
+		b = b[:0]
+		if i > 0 {
+			b = append(b, ",\n"...)
 		}
-		first = false
-		fmt.Fprintf(bw, format, args...)
-	}
-	for _, r := range c.Runs() {
-		emit(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"%s"}}`,
-			r.pid, jsonEscape(r.label))
-		for _, e := range r.events {
-			emit(`{"name":"%s","cat":"txn","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"span":%d}}`,
-				jsonEscape(e.Name), us(e.Start), us(e.Dur), r.pid, e.TID, e.SpanID)
+		b = append(b, `{"name":"process_name","ph":"M","pid":`...)
+		b = strconv.AppendInt(b, int64(r.pid), 10)
+		b = append(b, `,"tid":0,"args":{"name":"`...)
+		b = append(b, jsonEscape(r.label)...)
+		b = append(b, `"}}`...)
+		bw.Write(b)
+		for j := range r.records {
+			e := &r.records[j]
+			b = append(b[:0], ",\n"...)
+			b = append(b, `{"name":"`...)
+			b = append(b, e.name()...)
+			b = append(b, `","cat":"txn","ph":"X","ts":`...)
+			b = appendUs(b, e.start)
+			b = append(b, `,"dur":`...)
+			b = appendUs(b, e.dur)
+			b = append(b, `,"pid":`...)
+			b = strconv.AppendInt(b, int64(r.pid), 10)
+			b = append(b, `,"tid":`...)
+			b = strconv.AppendInt(b, int64(e.tid), 10)
+			b = append(b, `,"args":{"span":`...)
+			b = strconv.AppendUint(b, e.span, 10)
+			b = append(b, "}}"...)
+			bw.Write(b)
 		}
 	}
-	fmt.Fprint(bw, "\n]\n")
+	bw.WriteString("\n]\n")
 	return bw.Flush()
 }
 
@@ -74,14 +95,33 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 // whole transactions ("txn"), grouped by run.
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	var b []byte
 	for _, r := range c.Runs() {
-		for _, e := range r.events {
+		label := jsonEscape(r.label)
+		for j := range r.records {
+			e := &r.records[j]
 			kind := "seg"
-			if e.Name == "txn" {
+			if Phase(e.ph) == phaseTxn {
 				kind = "txn"
 			}
-			fmt.Fprintf(bw, `{"type":"%s","run":%d,"label":"%s","span":%d,"tid":%d,"phase":"%s","start_us":%.3f,"dur_us":%.3f}`+"\n",
-				kind, r.pid, jsonEscape(r.label), e.SpanID, e.TID, jsonEscape(e.Name), us(e.Start), us(e.Dur))
+			b = append(b[:0], `{"type":"`...)
+			b = append(b, kind...)
+			b = append(b, `","run":`...)
+			b = strconv.AppendInt(b, int64(r.pid), 10)
+			b = append(b, `,"label":"`...)
+			b = append(b, label...)
+			b = append(b, `","span":`...)
+			b = strconv.AppendUint(b, e.span, 10)
+			b = append(b, `,"tid":`...)
+			b = strconv.AppendInt(b, int64(e.tid), 10)
+			b = append(b, `,"phase":"`...)
+			b = append(b, e.name()...)
+			b = append(b, `","start_us":`...)
+			b = appendUs(b, e.start)
+			b = append(b, `,"dur_us":`...)
+			b = appendUs(b, e.dur)
+			b = append(b, "}\n"...)
+			bw.Write(b)
 		}
 	}
 	return bw.Flush()

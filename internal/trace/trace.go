@@ -2,11 +2,12 @@
 // client request from the terminal through the server worker thread, the
 // lock and cache-fusion (GCS) waits, the pager/disk/iSCSI path and back
 // across the fabric, attributing every nanosecond of the response time to a
-// phase. Aggregates land in per-phase histograms (p50/p95/p99, not just
-// means) that core.Metrics folds into its LatencyBreakdown; raw span
-// segments can additionally be exported as a JSONL event stream or a Chrome
-// trace_event file (see export.go). Queue occupancy is the telemetry
-// layer's view (telemetry.QueueTel), not this one's.
+// phase. Aggregates land in per-phase tallies (means) and a histogram of
+// span totals (p95/p99), which core.Metrics folds into its
+// LatencyBreakdown; raw span segments can additionally be exported as a
+// JSONL event stream or a Chrome trace_event file (see export.go). Queue
+// occupancy is the telemetry layer's view (telemetry.QueueTel), not this
+// one's.
 //
 // Design constraints, in order:
 //
@@ -114,7 +115,7 @@ type Collector struct {
 }
 
 // NewCollector returns a collector sampling every n-th transaction per run
-// (n <= 1 traces every transaction). Only histograms are kept; call
+// (n <= 1 traces every transaction). Only aggregates are kept; call
 // KeepEvents to also retain exportable span segments.
 func NewCollector(n int) *Collector {
 	if n < 1 {
@@ -149,13 +150,10 @@ func (c *Collector) NewRun(label string) *Run {
 		keepEvents:  c.keepEvents,
 		maxEvents:   c.maxEvents,
 	}
-	for i := range r.phase {
-		// 0.25 ms buckets to 8 s: finer than the scaled response times the
-		// model produces, with range to spare for overloaded configurations
-		// whose tails run to seconds (means stay exact regardless — the
-		// histogram keeps a full tally alongside the buckets).
-		r.phase[i] = stats.NewHistogram(0.25, 32000)
-	}
+	// 0.25 ms buckets to 8 s: finer than the scaled response times the
+	// model produces, with range to spare for overloaded configurations
+	// whose tails run to seconds (the mean stays exact regardless — the
+	// histogram keeps a full tally alongside the buckets).
 	r.total = stats.NewHistogram(0.25, 32000)
 	c.runs = append(c.runs, r)
 	return r
@@ -168,9 +166,9 @@ func (c *Collector) Runs() []*Run {
 	return append([]*Run(nil), c.runs...)
 }
 
-// Run is the per-simulation trace sink: per-phase histograms and retained
-// span segments. All methods are called from the single kernel
-// goroutine of one simulation, so no locking is needed.
+// Run is the per-simulation trace sink: per-phase tallies, a histogram of
+// span totals and retained span segments. All methods are called from the
+// single kernel goroutine of one simulation, so no locking is needed.
 type Run struct {
 	c           *Collector
 	pid         int
@@ -183,21 +181,31 @@ type Run struct {
 	nextID  uint64 // span ids
 	sampled uint64 // spans finished and recorded
 
-	phase [NumPhases]*stats.Histogram // per-phase self time, ms
-	total *stats.Histogram            // span total (client-observed), ms
+	phase [NumPhases]stats.Tally // per-phase self time, ms
+	total *stats.Histogram       // span total (client-observed), ms
 
-	events  []Event
+	records []record
 	dropped uint64 // records lost to the maxEvents cap
 }
 
-// Event is one retained span segment (or the whole span for PhaseFabric ==
-// false records with Name "txn").
-type Event struct {
-	SpanID uint64
-	TID    int // terminal id
-	Name   string
-	Start  sim.Time
-	Dur    sim.Time
+// phaseTxn is the phase of a record that covers a whole transaction.
+const phaseTxn = Phase(NumPhases)
+
+// record is one retained span segment, or the whole span when ph is
+// phaseTxn: 32 bytes, so a run at the default cap holds 32 MiB of them.
+type record struct {
+	span       uint64
+	start, dur sim.Time
+	tid        int32 // terminal id
+	ph         uint8 // a Phase, or phaseTxn
+}
+
+// name is the record's export label: its phase, or "txn".
+func (e *record) name() string {
+	if Phase(e.ph) == phaseTxn {
+		return "txn"
+	}
+	return Phase(e.ph).String()
 }
 
 // Label returns the run label given at creation.
@@ -230,13 +238,13 @@ func (r *Run) TotalMeanMs() float64 { return r.total.Mean() }
 // TotalQuantileMs returns an approximate quantile of span totals (ms).
 func (r *Run) TotalQuantileMs(q float64) float64 { return r.total.Quantile(q) }
 
-// addEvent retains one export record under the cap.
-func (r *Run) addEvent(e Event) {
-	if len(r.events) >= r.maxEvents {
+// addRecord retains one export record under the cap.
+func (r *Run) addRecord(span uint64, tid int, ph Phase, start, dur sim.Time) {
+	if len(r.records) >= r.maxEvents {
 		r.dropped++
 		return
 	}
-	r.events = append(r.events, e)
+	r.records = append(r.records, record{span: span, start: start, dur: dur, tid: int32(tid), ph: uint8(ph)})
 }
 
 // maxSpanDepth bounds phase nesting; the instrumented stack nests at most
@@ -276,7 +284,7 @@ func (s *Span) charge(now sim.Time) {
 	if d := now - s.mark; d > 0 {
 		s.acc[ph] += d
 		if s.run.keepEvents && ph != PhaseOther {
-			s.run.addEvent(Event{SpanID: s.id, TID: s.tid, Name: ph.String(), Start: s.mark, Dur: d})
+			s.run.addRecord(s.id, s.tid, ph, s.mark, d)
 		}
 	}
 	s.mark = now
@@ -322,7 +330,7 @@ func (s *Span) EndServer(now sim.Time) {
 
 // Finish completes the span when the terminal receives the reply: the
 // client-observed remainder becomes the fabric phase and every accumulator
-// lands in the run's histograms. A span whose reply never arrives is simply
+// lands in the run's aggregates. A span whose reply never arrives is simply
 // never finished and never recorded (matching the response-time tally).
 func (s *Span) Finish(now sim.Time) {
 	if s.inServer {
@@ -339,7 +347,7 @@ func (s *Span) Finish(now sim.Time) {
 	r.total.Add(total.Millis())
 	r.sampled++
 	if r.keepEvents {
-		r.addEvent(Event{SpanID: s.id, TID: s.tid, Name: "txn", Start: s.start, Dur: total})
+		r.addRecord(s.id, s.tid, phaseTxn, s.start, total)
 	}
 }
 

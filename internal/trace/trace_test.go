@@ -2,8 +2,10 @@ package trace
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dclue/internal/sim"
 )
@@ -190,13 +192,41 @@ func TestEventCap(t *testing.T) {
 		s.EndServer(sim.Time(i)*ms + ms)
 		s.Finish(sim.Time(i)*ms + ms)
 	}
-	if len(r.events) != 2 {
-		t.Errorf("retained %d events at cap 2", len(r.events))
+	if len(r.records) != 2 {
+		t.Errorf("retained %d events at cap 2", len(r.records))
 	}
 	if r.Dropped() != 3 {
 		t.Errorf("dropped = %d, want 3", r.Dropped())
 	}
 	if r.Sampled() != 5 {
 		t.Errorf("histograms must keep counting past the cap: sampled=%d", r.Sampled())
+	}
+}
+
+// TestNewRunFootprint gates what one traced simulation costs before it
+// records anything: NewRun allocates the Run and one span-total histogram
+// (32,000 buckets, 256,000 bytes, which the heap rounds up to 32 pages of
+// 8 KiB). A histogram per phase as well would be seven times that. A
+// retained record must stay within 32 bytes.
+func TestNewRunFootprint(t *testing.T) {
+	const (
+		runs     = 16
+		maxBytes = 272_000
+	)
+	c := NewCollector(1)
+	c.KeepEvents(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		c.NewRun("footprint")
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > maxBytes {
+		t.Errorf("NewRun allocates %d bytes, ceiling %d", per, maxBytes)
+	} else {
+		t.Logf("NewRun allocates %d bytes", per)
+	}
+	if size := unsafe.Sizeof(record{}); size > 32 {
+		t.Errorf("a retained record takes %d bytes, want at most 32", size)
 	}
 }
