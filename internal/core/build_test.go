@@ -10,14 +10,15 @@ import (
 // TestBuildAllocs gates the database build on work that does not depend on
 // the host: the heap allocations of one New at perfbench's oltp-local
 // configuration (4 nodes, 32 warehouses, seed 1), which loads about 0.5 M
-// index entries. The ceilings sit just above the measured counts (76,651
-// mallocs and 16.80 MB per build; 76,703 and 16.81 MB under -race), so a
-// change that makes the build regrow buffers per row or per leaf, or copy
-// the order-line arrays as they grow, fails here on any host.
+// index entries. The ceilings sit just above the measured counts (58,145
+// mallocs and 15.72 MB per build; 58,205 and 15.73 MB under -race), so a
+// change that makes the build regrow buffers per row or per leaf, copy the
+// order-line arrays as they grow, or give each directory entry a heap
+// object again, fails here on any host.
 func TestBuildAllocs(t *testing.T) {
 	const (
-		maxMallocs = 77_000
-		maxBytes   = 17_000_000
+		maxMallocs = 58_500
+		maxBytes   = 15_900_000
 	)
 	p := DefaultParams(4)
 	p.Affinity, p.Warehouses = 1.0, 32

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dclue/internal/db"
 	"dclue/internal/sim"
 )
 
@@ -108,6 +109,7 @@ func TestInvalidParamsRejectedAtConstruction(t *testing.T) {
 		set   func(*Params)
 	}{
 		{"Nodes", func(p *Params) { p.Nodes = 0 }},
+		{"Nodes", func(p *Params) { p.Nodes, p.Warehouses = db.MaxNodes+1, db.MaxNodes+1 }},
 		{"Warmup", func(p *Params) { p.Warmup = -1 * sim.Second }},
 		{"RouterFwdRate", func(p *Params) { p.RouterFwdRate = 0 }},
 		{"Measure", func(p *Params) { p.Measure = -5 * sim.Second }},

@@ -282,8 +282,8 @@ func (p *Params) validate() (faults.Schedule, error) {
 	switch {
 	case !(p.Scale > 0):
 		return nil, fmt.Errorf("Params.Scale = %g: want a positive factor; start from DefaultParams", p.Scale)
-	case p.Nodes < 1:
-		return nil, fmt.Errorf("Params.Nodes = %d: want at least 1", p.Nodes)
+	case p.Nodes < 1 || p.Nodes > db.MaxNodes:
+		return nil, fmt.Errorf("Params.Nodes = %d: want 1 to %d", p.Nodes, db.MaxNodes)
 	case !(p.Affinity >= 0 && p.Affinity <= 1):
 		return nil, fmt.Errorf("Params.Affinity = %g: want a probability in [0, 1]", p.Affinity)
 	case p.Warehouses < 0:

@@ -28,16 +28,13 @@ const hbBytes = 64
 type ipcTransport struct {
 	cluster *Cluster
 	self    int
-	conns   [64]*tcp.Conn // indexed by peer node (clusters are small)
+	conns   [db.MaxNodes]*tcp.Conn // indexed by peer node
 }
-
-// Self returns this node's index.
-func (t *ipcTransport) Self() int { return t.self }
 
 // Send ships a GCS message to node `to` over the IPC connection. All DBMS
 // traffic is best-effort (§3.4); QoS experiments prioritize the cross
 // traffic, never the DBMS.
-func (t *ipcTransport) Send(to int, m db.Msg, size int, data bool) {
+func (t *ipcTransport) Send(to int, m db.Msg, size int) {
 	if to == t.self {
 		// Local shortcut (can happen for the central log node).
 		self := t.self

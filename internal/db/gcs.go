@@ -2,6 +2,7 @@ package db
 
 import (
 	"errors"
+	"math/bits"
 
 	"dclue/internal/sim"
 	"dclue/internal/stats"
@@ -19,10 +20,28 @@ var ErrFetchFailed = errors.New("db: block fetch failed")
 // loopback. Control messages are CtlMsgBytes on the wire; data messages
 // carry a block plus version payload.
 type Transport interface {
-	Self() int
 	// Send delivers m to node to's GCS.HandleMessage. size is the wire
-	// payload; data distinguishes block transfers from control messages.
-	Send(to int, m Msg, size int, data bool)
+	// payload.
+	Send(to int, m Msg, size int)
+}
+
+// MaxNodes bounds the cluster size. Nodes are numbered densely from 0, and
+// a NodeSet keeps one bit per node in a uint64.
+const MaxNodes = 64
+
+// NodeSet is a set of node ids in [0, MaxNodes), one bit per node.
+type NodeSet uint64
+
+// Has reports whether node n is in the set. Has(-1) is false, so a
+// directory entry's lastWriter of -1 ("none") needs no test of its own.
+func (s NodeSet) Has(n int) bool { return s&(1<<uint(n)) != 0 }
+
+// lowest returns the smallest node in the set, or -1 if it is empty.
+func (s NodeSet) lowest() int {
+	if s == 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(uint64(s))
 }
 
 // CtlMsgBytes is the size of IPC control messages (§3.2: "about 250 bytes").
@@ -206,7 +225,7 @@ type Holding struct {
 // DirExport is one directory entry shipped during mastering hand-back.
 type DirExport struct {
 	Blk        BlockID
-	Holders    []int // sorted
+	Holders    NodeSet
 	LastWriter int
 }
 
@@ -238,10 +257,22 @@ func (MsgLockRelease) isMsg() {}
 func (MsgLogWrite) isMsg()    {}
 func (MsgLogDone) isMsg()     {}
 
-// dirEntry is the master-side directory record for one block.
+// dirEntry is the master-side directory record for one block. A block with
+// no entry reads as the zero dirEntry, whose empty holder set names no
+// supplier; a stored entry has at least one holder, and lastWriter is -1
+// until some holder writes.
 type dirEntry struct {
-	holders    map[int]bool
+	holders    NodeSet
 	lastWriter int
+}
+
+// writerSupplier returns the last writer when it holds a copy and is not
+// requester (its image is the current one), else -1.
+func (e dirEntry) writerSupplier(requester int) int {
+	if e.lastWriter != requester && e.holders.Has(e.lastWriter) {
+		return e.lastWriter
+	}
+	return -1
 }
 
 // GCSStats aggregates one node's IPC and locking measurements.
@@ -305,8 +336,8 @@ type GCS struct {
 	locks *LockService
 	costs *OpCosts
 
-	dir        map[BlockID]*dirEntry
-	pendingFwd map[uint64]*fwdState
+	dir        map[BlockID]dirEntry
+	pendingFwd map[uint64]fwdState
 
 	nextReq  uint64
 	pending  map[uint64]sim.Waiter
@@ -371,8 +402,8 @@ func NewGCS(s *sim.Sim, self int, cat *Catalog, host Host, cache *BufferCache,
 		vm:              vm,
 		locks:           NewLockService(),
 		costs:           costs,
-		dir:             make(map[BlockID]*dirEntry),
-		pendingFwd:      make(map[uint64]*fwdState),
+		dir:             make(map[BlockID]dirEntry),
+		pendingFwd:      make(map[uint64]fwdState),
 		pending:         make(map[uint64]sim.Waiter),
 		inflight:        make(map[BlockID][]sim.Waiter),
 		DeadlockTimeout: 500 * sim.Millisecond,
@@ -403,7 +434,7 @@ type fwdState struct {
 	requester int
 	blk       BlockID
 	forWrite  bool
-	tried     map[int]bool
+	tried     NodeSet
 	reqID     uint64 // requester-side request id
 }
 
@@ -413,7 +444,7 @@ func (g *GCS) sendCtl(to int, m Msg) {
 	if g.tel != nil {
 		g.tel.OnCtlMsg(g.sim.Now())
 	}
-	g.host.Process(g.costs.CtlMsgHandle, func() { g.tr.Send(to, m, CtlMsgBytes, false) })
+	g.host.Process(g.costs.CtlMsgHandle, func() { g.tr.Send(to, m, CtlMsgBytes) })
 }
 
 // sendData charges send-side handling and ships a data message.
@@ -423,7 +454,7 @@ func (g *GCS) sendData(to int, m Msg, size int) {
 	if g.tel != nil {
 		g.tel.OnDataMsg(g.sim.Now())
 	}
-	g.host.Process(g.costs.DataMsgHandle, func() { g.tr.Send(to, m, size, true) })
+	g.host.Process(g.costs.DataMsgHandle, func() { g.tr.Send(to, m, size) })
 }
 
 // HandleMessage is the inbound entry point (kernel context); it charges

@@ -128,12 +128,7 @@ func (g *GCS) currencyFetch(p *sim.Proc, blk BlockID) error {
 	master := g.cat.Master(blk)
 	if master == g.self {
 		g.host.Execute(p, g.costs.DirLookup)
-		e := g.dir[blk]
-		supplier := -1
-		if e != nil && e.lastWriter >= 0 && e.lastWriter != g.self && e.holders[e.lastWriter] {
-			supplier = e.lastWriter
-		}
-		if supplier >= 0 {
+		if supplier := g.dir[blk].writerSupplier(g.self); supplier >= 0 {
 			for attempt := 0; ; attempt++ {
 				reqID := g.newReq(p)
 				g.sendCtl(supplier, MsgBlkFwd{ReqID: reqID, DestReqID: reqID, Blk: blk, Requester: g.self})
@@ -252,27 +247,15 @@ func (g *GCS) remoteFetch(p *sim.Proc, blk BlockID, master int, forWrite, create
 	}
 }
 
-// pickSupplier chooses a current holder other than requester, preferring
-// the last writer (most recent copy), then the lowest node id for
-// determinism. Returns -1 if none.
+// pickSupplier chooses a current holder other than requester: the last
+// writer if it holds a copy (most recent image), else the lowest holder.
+// Returns -1 if none.
 func (g *GCS) pickSupplier(blk BlockID, requester int) int {
 	e := g.dir[blk]
-	if e == nil {
-		return -1
+	if w := e.writerSupplier(requester); w >= 0 {
+		return w
 	}
-	if e.lastWriter != requester && e.holders[e.lastWriter] {
-		return e.lastWriter
-	}
-	best := -1
-	for h := range e.holders {
-		if h == requester {
-			continue
-		}
-		if best < 0 || h < best {
-			best = h
-		}
-	}
-	return best
+	return (e.holders &^ (1 << requester)).lowest()
 }
 
 // masterBlockReq serves step 1 at the directory master.
@@ -281,11 +264,7 @@ func (g *GCS) masterBlockReq(from int, m MsgBlkReq) {
 	if m.HaveCopy {
 		// Currency fetch: only the last writer's image improves on the
 		// requester's own copy.
-		supplier = -1
-		if e := g.dir[m.Blk]; e != nil && e.lastWriter >= 0 &&
-			e.lastWriter != from && e.holders[e.lastWriter] {
-			supplier = e.lastWriter
-		}
+		supplier = g.dir[m.Blk].writerSupplier(from)
 	} else {
 		supplier = g.pickSupplier(m.Blk, from)
 	}
@@ -301,9 +280,9 @@ func (g *GCS) masterBlockReq(from int, m MsgBlkReq) {
 	}
 	g.nextReq++
 	fid := g.nextReq
-	g.pendingFwd[fid] = &fwdState{
+	g.pendingFwd[fid] = fwdState{
 		requester: from, blk: m.Blk, forWrite: m.ForWrite,
-		tried: map[int]bool{supplier: true}, reqID: m.ReqID,
+		tried: 1 << supplier, reqID: m.ReqID,
 	}
 	g.sendCtl(supplier, MsgBlkFwd{ReqID: fid, DestReqID: m.ReqID, Blk: m.Blk, Requester: from})
 }
@@ -331,31 +310,21 @@ func (g *GCS) masterFwdFail(from int, m MsgBlkFwdFail) {
 		return
 	}
 	g.masterEvict(st.blk, from)
-	// Retry an untried holder.
-	e := g.dir[st.blk]
-	next := -1
-	if e != nil {
-		for h := range e.holders {
-			if h == st.requester || st.tried[h] {
-				continue
-			}
-			if next < 0 || h < next {
-				next = h
-			}
-		}
-	}
+	// Retry the lowest untried holder.
+	next := (g.dir[st.blk].holders &^ st.tried &^ (1 << st.requester)).lowest()
 	if next < 0 {
 		delete(g.pendingFwd, m.ReqID)
 		g.sendCtl(st.requester, MsgBlkNeg{ReqID: st.reqID})
 		return
 	}
-	st.tried[next] = true
 	if next == g.self {
 		delete(g.pendingFwd, m.ReqID)
 		g.sendData(st.requester, MsgBlkXfer{ReqID: st.reqID, Blk: st.blk},
 			BlockBytes+g.vm.VersionBytes(st.blk))
 		return
 	}
+	st.tried |= 1 << next
+	g.pendingFwd[m.ReqID] = st
 	g.sendCtl(next, MsgBlkFwd{ReqID: m.ReqID, DestReqID: st.reqID, Blk: st.blk, Requester: st.requester})
 }
 
@@ -365,12 +334,11 @@ func (g *GCS) masterFwdFail(from int, m MsgBlkFwdFail) {
 // completed (XFER went straight to the requester, so the master learns
 // completion from the ack).
 func (g *GCS) masterRegisterHolder(blk BlockID, holder int, forWrite bool) {
-	e := g.dir[blk]
-	if e == nil {
-		e = &dirEntry{holders: make(map[int]bool), lastWriter: -1}
-		g.dir[blk] = e
+	e, ok := g.dir[blk]
+	if !ok {
+		e.lastWriter = -1
 	}
-	e.holders[holder] = true
+	e.holders |= 1 << holder
 	if forWrite && e.lastWriter != holder {
 		prev := e.lastWriter
 		e.lastWriter = holder
@@ -382,6 +350,7 @@ func (g *GCS) masterRegisterHolder(blk BlockID, holder int, forWrite bool) {
 			}
 		}
 	}
+	g.dir[blk] = e
 	for id, st := range g.pendingFwd {
 		if st.blk == blk && st.requester == holder {
 			delete(g.pendingFwd, id)
@@ -409,12 +378,11 @@ func (g *GCS) Prewarm(blk BlockID) bool {
 // masterEvict removes a holder from the directory.
 func (g *GCS) masterEvict(blk BlockID, holder int) {
 	e := g.dir[blk]
-	if e == nil {
-		return
-	}
-	delete(e.holders, holder)
-	if len(e.holders) == 0 {
+	e.holders &^= 1 << holder
+	if e.holders == 0 {
 		delete(g.dir, blk)
+	} else {
+		g.dir[blk] = e
 	}
 }
 
@@ -529,7 +497,7 @@ func (g *GCS) masterLockReq(from int, m MsgLockReq) {
 // ReleaseLocks drops every lock txn holds: local releases plus one batched
 // control message per remote master.
 func (g *GCS) ReleaseLocks(txn TxnRef, held []ResourceID) {
-	perMaster := make(map[int][]ResourceID)
+	var perMaster [MaxNodes][]ResourceID
 	for _, r := range held {
 		m := g.cat.Master(BlockID{r.Table, r.Block})
 		if m == g.self {
@@ -538,9 +506,8 @@ func (g *GCS) ReleaseLocks(txn TxnRef, held []ResourceID) {
 			perMaster[m] = append(perMaster[m], r)
 		}
 	}
-	// Deterministic send order.
-	for m := 0; m < g.cat.Nodes(); m++ {
-		if rs, ok := perMaster[m]; ok {
+	for m, rs := range perMaster[:] {
+		if len(rs) > 0 {
 			g.sendCtl(m, MsgLockRelease{Txn: txn, Res: rs})
 		}
 	}

@@ -8,17 +8,9 @@ import "sort"
 // that bounds how much redo log a crash forces recovery to replay. The
 // protocol itself (who fences, who remasters, in what order) lives in the
 // core cluster's recovery coordinator; everything here is node-local state
-// surgery, deterministic via sorted iteration.
-
-// blockIDLess is the (table, block) order for sort.Slice over bs.
-func blockIDLess(bs []BlockID) func(i, j int) bool {
-	return func(i, j int) bool {
-		if bs[i].Table != bs[j].Table {
-			return bs[i].Table < bs[j].Table
-		}
-		return bs[i].Block < bs[j].Block
-	}
-}
+// surgery. Each step that ranges over a map touches one entry and deletes
+// commute, so map order cannot show; the export, whose order becomes
+// message order, sorts its blocks.
 
 // SendCtl ships a control message on the GCS's IPC channel (recovery
 // coordinator use; same pricing as protocol messages).
@@ -50,30 +42,21 @@ func (g *GCS) Checkpoint() (flushed int) {
 // every lock its transactions held or waited for is released so survivors
 // stop queueing behind a peer that will never answer.
 func (g *GCS) FenceNode(dead int) {
-	blks := make([]BlockID, 0, len(g.dir))
-	for b := range g.dir {
-		blks = append(blks, b)
-	}
-	sort.Slice(blks, blockIDLess(blks))
-	for _, b := range blks {
-		e := g.dir[b]
-		delete(e.holders, dead)
+	for b, e := range g.dir {
+		e.holders &^= 1 << dead
 		if e.lastWriter == dead {
 			e.lastWriter = -1
 		}
-		if len(e.holders) == 0 {
+		if e.holders == 0 {
 			delete(g.dir, b)
+		} else {
+			g.dir[b] = e
 		}
 	}
-	ids := make([]uint64, 0, len(g.pendingFwd))
 	for id, st := range g.pendingFwd {
 		if st.requester == dead {
-			ids = append(ids, id)
+			delete(g.pendingFwd, id)
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		delete(g.pendingFwd, id)
 	}
 	g.locks.ReleaseNode(dead)
 }
@@ -94,15 +77,15 @@ func (g *GCS) HoldingsHomedAt(home int) []Holding {
 // (surrogate side). Unlike masterRegisterHolder it never revokes anyone:
 // the reports describe existing ownership, they do not move it.
 func (g *GCS) RegisterHolding(holder int, h Holding) {
-	e := g.dir[h.Blk]
-	if e == nil {
-		e = &dirEntry{holders: make(map[int]bool), lastWriter: -1}
-		g.dir[h.Blk] = e
+	e, ok := g.dir[h.Blk]
+	if !ok {
+		e.lastWriter = -1
 	}
-	e.holders[holder] = true
+	e.holders |= 1 << holder
 	if h.WriteOwner {
 		e.lastWriter = holder
 	}
+	g.dir[h.Blk] = e
 }
 
 // ExportDirHomedAt returns the directory entries for blocks homed at home
@@ -114,16 +97,16 @@ func (g *GCS) ExportDirHomedAt(home int) []DirExport {
 			blks = append(blks, b)
 		}
 	}
-	sort.Slice(blks, blockIDLess(blks))
+	sort.Slice(blks, func(i, j int) bool {
+		if blks[i].Table != blks[j].Table {
+			return blks[i].Table < blks[j].Table
+		}
+		return blks[i].Block < blks[j].Block
+	})
 	out := make([]DirExport, 0, len(blks))
 	for _, b := range blks {
 		e := g.dir[b]
-		hs := make([]int, 0, len(e.holders))
-		for h := range e.holders {
-			hs = append(hs, h)
-		}
-		sort.Ints(hs)
-		out = append(out, DirExport{Blk: b, Holders: hs, LastWriter: e.lastWriter})
+		out = append(out, DirExport{Blk: b, Holders: e.holders, LastWriter: e.lastWriter})
 	}
 	return out
 }
@@ -131,26 +114,17 @@ func (g *GCS) ExportDirHomedAt(home int) []DirExport {
 // DropDirHomedAt forgets directory entries for blocks homed at home (the
 // mastering moved elsewhere).
 func (g *GCS) DropDirHomedAt(home int) {
-	var blks []BlockID
 	for b := range g.dir {
 		if g.cat.Home(b) == home {
-			blks = append(blks, b)
+			delete(g.dir, b)
 		}
-	}
-	sort.Slice(blks, blockIDLess(blks))
-	for _, b := range blks {
-		delete(g.dir, b)
 	}
 }
 
 // ImportDir installs handed-back directory entries (rejoining node side).
 func (g *GCS) ImportDir(entries []DirExport) {
 	for _, de := range entries {
-		e := &dirEntry{holders: make(map[int]bool), lastWriter: de.LastWriter}
-		for _, h := range de.Holders {
-			e.holders[h] = true
-		}
-		g.dir[de.Blk] = e
+		g.dir[de.Blk] = dirEntry{holders: de.Holders, lastWriter: de.LastWriter}
 	}
 }
 

@@ -94,12 +94,12 @@ func TestEvictionNotifiesDirectory(t *testing.T) {
 		n1.Cache.Invalidate(blk)
 		n1.GCS.OnEvict(blk, false)
 		p.Sleep(1 * sim.Second)
-		e := n0.GCS.dir[blk]
-		if e == nil {
+		e, ok := n0.GCS.dir[blk]
+		if !ok {
 			t.Error("directory entry vanished entirely")
 			return
 		}
-		if e.holders[1] {
+		if e.holders.Has(1) {
 			t.Error("master still lists node 1 as holder after eviction notice")
 		}
 	})

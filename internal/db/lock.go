@@ -141,7 +141,7 @@ func (ls *LockService) ReleaseNode(node int) {
 // without granting anyone: used when mastering moves (surrogate takeover or
 // hand-back), where the new master rebuilds state from survivors.
 func (ls *LockService) DropHomedAt(pred func(ResourceID) bool) {
-	for _, res := range ls.sortedResources() {
+	for res := range ls.locks {
 		if pred(res) {
 			delete(ls.locks, res)
 		}

@@ -23,17 +23,9 @@ type loopTransport struct {
 	self  int
 	peers []*GCS
 	delay sim.Time
-
-	ctlSent, dataSent uint64
 }
 
-func (t *loopTransport) Self() int { return t.self }
-func (t *loopTransport) Send(to int, m Msg, size int, data bool) {
-	if data {
-		t.dataSent++
-	} else {
-		t.ctlSent++
-	}
+func (t *loopTransport) Send(to int, m Msg, size int) {
 	from := t.self
 	t.s.After(t.delay, func() { t.peers[to].HandleMessage(from, m) })
 }

@@ -24,9 +24,7 @@ var Maporder = &analysis.Analyzer{
 }
 
 // orderSensitiveCallees are selector names whose call emits something in
-// iteration order: formatted printing, direct writer access, and the sim
-// calendar API (scheduling events in map order reorders the event calendar
-// between runs).
+// iteration order: formatted printing and direct writer access.
 var orderSensitiveCallees = map[string]string{
 	"Print":       "printing",
 	"Printf":      "printing",
@@ -38,10 +36,13 @@ var orderSensitiveCallees = map[string]string{
 	"WriteString": "writing output",
 	"WriteByte":   "writing output",
 	"WriteRune":   "writing output",
-	"Spawn":       "scheduling simulator events",
-	"After":       "scheduling simulator events",
-	"At":          "scheduling simulator events",
 }
+
+// simSchedulers are the sim.Sim methods that schedule events: called in map
+// order, they reorder the event calendar between runs. Other types share
+// these names (sim.Queue.At reads a slot), so a call counts only when the
+// method's receiver is sim.Sim.
+var simSchedulers = map[string]bool{"Spawn": true, "After": true, "At": true}
 
 func runMaporder(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -180,13 +181,39 @@ func checkMapRangeBody(pass *analysis.Pass, rs *ast.RangeStmt, f *ast.File, sort
 			checkAppendToOuter(pass, rs, n, f, sorts)
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if what, bad := orderSensitiveCallees[sel.Sel.Name]; bad {
+				what, bad := orderSensitiveCallees[sel.Sel.Name]
+				if !bad && isSimScheduler(pass, sel) {
+					what, bad = "scheduling simulator events", true
+				}
+				if bad {
 					pass.Reportf(n.Pos(), "%s inside range over map: iteration order is random — sort the keys and range the slice", what)
 				}
 			}
 		}
 		return true
 	})
+}
+
+// isSimScheduler reports whether sel names a simSchedulers method declared
+// on sim.Sim (directly or promoted through an embedding).
+func isSimScheduler(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+	if !simSchedulers[sel.Sel.Name] {
+		return false
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "Sim" && n.Obj().Pkg() != nil && isSimImport(n.Obj().Pkg().Path())
 }
 
 // checkAppendToOuter flags `x = append(x, ...)` where x outlives the range

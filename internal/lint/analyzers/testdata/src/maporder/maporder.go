@@ -4,6 +4,7 @@ package maporder
 import (
 	"fmt"
 	"io"
+	"sim"
 	"sort"
 )
 
@@ -30,6 +31,19 @@ func printInOrder(w io.Writer, m map[string]int) {
 	for k, v := range m {
 		fmt.Fprintf(w, "%s=%d\n", k, v) // want `printing inside range over map`
 	}
+}
+
+// schedule: sim.Sim's At, After and Spawn in map order reorder the event
+// calendar; sim.Queue's At shares the name but only reads a slot.
+func schedule(s *sim.Sim, q *sim.Queue[int], m map[string]int) int {
+	n := 0
+	for range m {
+		s.At(1, func() {})               // want `scheduling simulator events inside range over map`
+		s.After(1, func() {})            // want `scheduling simulator events inside range over map`
+		s.Spawn("p", func(*sim.Proc) {}) // want `scheduling simulator events inside range over map`
+		n += *q.At(0)
+	}
+	return n
 }
 
 // counting is commutative: no diagnostic.

@@ -1,7 +1,8 @@
 // Package sim is a miniature of dclue/internal/sim for the continuation
-// fixture: just enough surface to exercise the goroutine analyzer's
-// continuation-only rule (Proc/Mailbox/NewMailbox/Waiter flagged,
-// After/EventID legal).
+// and maporder fixtures: just enough surface to exercise the goroutine
+// analyzer's continuation-only rule (Proc/Mailbox/NewMailbox/Waiter
+// flagged, After/EventID legal) and maporder's scheduling calls (Sim's
+// At/After/Spawn flagged in a map range, Queue's At not).
 package sim
 
 type Time int64
@@ -31,3 +32,7 @@ func (m *Mailbox) Recv(p *Proc) any { return nil }
 type Waiter struct{}
 
 func (w Waiter) Deliver(v any) {}
+
+type Queue[T any] struct{ buf []T }
+
+func (q *Queue[T]) At(i int) *T { return &q.buf[i] }

@@ -3,8 +3,9 @@ package sim
 // Queue is a growable FIFO ring, the one queue behind every strict FIFO of
 // the model: the kernel's same-instant lane, mailbox values and receivers,
 // link flights, router and qdisc backlogs, interrupt work, resource
-// waiters and TCP send buffers. The buffer's length is zero or a power of
-// two, so an index wraps with a mask. It grows to the queue's high-water
+// waiters, TCP send buffers and TCP reorder buffers (slots indexed by
+// sequence number). The buffer's length is zero or a power of two, so an
+// index wraps with a mask. It grows to the queue's high-water
 // mark once and is reused from then on, so a warmed Push and Pop do not
 // allocate. Pop zeroes the slot it vacates, so a popped packet, closure or
 // message is collectible while the buffer lives on. The zero value is an

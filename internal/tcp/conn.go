@@ -1,8 +1,6 @@
 package tcp
 
 import (
-	"sort"
-
 	"dclue/internal/netsim"
 	"dclue/internal/sim"
 	"dclue/internal/telemetry"
@@ -65,9 +63,13 @@ type Conn struct {
 	finQueued bool
 	finSeq    int
 
-	// Receive side.
+	// Receive side. oob holds the out-of-order data segments for
+	// reassembly: slot i holds seq rcvNxt+i, nil until it arrives, so slot
+	// 0, when there is one, is nil. The sender never passes
+	// sndUna+rwndSegs and sndUna <= rcvNxt, so the ring stays within
+	// rwndSegs slots.
 	rcvNxt   int
-	oob      map[int]*segment
+	oob      sim.Queue[*segment]
 	finRcvd  bool
 	rfinSeq  int
 	echoECN  bool
@@ -112,7 +114,6 @@ func newConn(s *Stack, id uint64, remote netsim.Addr, class netsim.Class, tc tel
 		cwnd:     2,
 		ssthresh: 64,
 		rto:      cfg.InitialRTO,
-		oob:      make(map[int]*segment),
 		rwndSegs: cfg.RecvWindowBytes / MSS,
 	}
 	c.rtoFn = c.onRTO
@@ -239,19 +240,14 @@ func (c *Conn) sendControl(kind segKind) {
 	c.stack.sendSegment(seg, c.remote)
 }
 
-// appendSacks appends up to 16 out-of-order sequence numbers held, in sorted
-// order (map iteration order must not leak into the simulation). The caller
-// passes a reusable buffer so steady-state acking does not allocate.
+// appendSacks appends the lowest 16 out-of-order sequence numbers held, in
+// ascending order. The caller passes a reusable buffer so steady-state
+// acking does not allocate.
 func (c *Conn) appendSacks(buf []int) []int {
-	if len(c.oob) == 0 {
-		return buf
-	}
-	for seq := range c.oob {
-		buf = append(buf, seq)
-	}
-	sort.Ints(buf)
-	if len(buf) > 16 {
-		buf = buf[:16]
+	for i := 1; i < c.oob.Len() && len(buf) < 16; i++ {
+		if *c.oob.At(i) != nil {
+			buf = append(buf, c.rcvNxt+i)
+		}
 	}
 	return buf
 }
@@ -380,18 +376,21 @@ func (c *Conn) handleData(seg *segment) (retained bool) {
 		// Duplicate; re-ack.
 	case seg.seq == c.rcvNxt:
 		c.consume(seg) // caller recycles seg itself
-		for {
-			next, ok := c.oob[c.rcvNxt]
-			if !ok {
-				break
-			}
-			delete(c.oob, c.rcvNxt)
+		if c.oob.Len() > 0 {
+			c.oob.Pop() // seg's own slot, never filled
+		}
+		for c.oob.Len() > 0 && *c.oob.At(0) != nil {
+			next := c.oob.Pop()
 			c.consume(next)
 			c.stack.dom.freeSeg(next)
 		}
 	default:
-		if _, dup := c.oob[seg.seq]; !dup {
-			c.oob[seg.seq] = seg
+		i := seg.seq - c.rcvNxt
+		for c.oob.Len() <= i {
+			c.oob.Push(nil)
+		}
+		if slot := c.oob.At(i); *slot == nil {
+			*slot = seg
 			retained = true
 		}
 		// A duplicate of a held segment carries nothing new; recycle it.
@@ -634,21 +633,15 @@ func (c *Conn) teardown(reset bool) {
 		c.state = stClosed
 	}
 	c.disarmRTO()
-	// Return any retained out-of-order segments to the pool: the reassembly
-	// gap they were waiting behind will never fill now. A closed connection
-	// never touches c.oob again (handleSegment returns before reassembly for
-	// stClosed/stReset), so freeing here cannot double-free. Keys are sorted
-	// so the pool's free-list order stays deterministic.
-	if len(c.oob) > 0 {
-		seqs := make([]int, 0, len(c.oob))
-		for seq := range c.oob {
-			seqs = append(seqs, seq)
+	// Return any retained out-of-order segments to the pool, in sequence
+	// order: the reassembly gap they were waiting behind will never fill
+	// now. A closed connection never touches c.oob again (handleSegment
+	// returns before reassembly for stClosed/stReset), so freeing here
+	// cannot double-free.
+	for c.oob.Len() > 0 {
+		if seg := c.oob.Pop(); seg != nil {
+			c.stack.dom.freeSeg(seg)
 		}
-		sort.Ints(seqs)
-		for _, seq := range seqs {
-			c.stack.dom.freeSeg(c.oob[seq])
-		}
-		c.oob = nil
 	}
 	// Linger (TIME_WAIT) so late retransmissions from the peer still find
 	// us and get acked, then reap the connection state.

@@ -22,8 +22,7 @@ type loopTransport struct {
 	peers []*db.GCS
 }
 
-func (t *loopTransport) Self() int { return t.self }
-func (t *loopTransport) Send(to int, m db.Msg, size int, data bool) {
+func (t *loopTransport) Send(to int, m db.Msg, size int) {
 	from := t.self
 	t.s.After(20*sim.Microsecond, func() { t.peers[to].HandleMessage(from, m) })
 }
