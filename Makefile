@@ -25,7 +25,7 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Determinism lint: the eight dcluevet analyzers over the whole module,
+# Determinism lint: the five dcluevet analyzers over the whole module,
 # plus the stale //lint:allow audit. See internal/lint/RULES.md for the
 # rule catalog.
 lint:

@@ -1,7 +1,7 @@
 // Command dcluevet runs the determinism and lifetime lint suite over the
-// module: eight analyzers that enforce at the source level the invariants
+// module: five analyzers that enforce at the source level the invariants
 // the runtime regressions (fingerprint determinism, byte-identical parallel
-// sweeps, observer non-perturbation, pool balance) check at run time. See
+// sweeps, pool balance) check at run time. See
 // internal/lint/RULES.md for the rule catalog and the //lint:allow
 // suppression syntax.
 //
@@ -9,7 +9,7 @@
 //
 //	dcluevet [flags] [packages]      # default ./...
 //	dcluevet -list                   # describe the analyzers
-//	dcluevet -only poolown,eventid ./internal/...
+//	dcluevet -only poolown,maporder ./internal/...
 //	dcluevet -allow-audit            # report stale //lint:allow directives
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dclue/internal/db"
 	"dclue/internal/disk"
@@ -209,7 +211,7 @@ func (c *Cluster) crashNode(i int) {
 			live = append(live, p)
 		}
 	}
-	sortProcsBySeq(live)
+	slices.SortFunc(live, func(a, b *sim.Proc) int { return cmp.Compare(a.Seq(), b.Seq()) })
 	for _, p := range live {
 		c.Sim.Kill(p)
 	}
@@ -218,15 +220,6 @@ func (c *Cluster) crashNode(i int) {
 	// Local TCP teardown only: peers discover the death by silence.
 	n.stack.AbortConns()
 	r.svc[i] = nil
-}
-
-// sortProcsBySeq orders processes by spawn sequence.
-func sortProcsBySeq(ps []*sim.Proc) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Seq() < ps[j-1].Seq(); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
 }
 
 // restartNode boots a fresh engine on node i's surviving hardware (NIC,
@@ -387,7 +380,7 @@ func (r *recState) replay(p *sim.Proc, self, dead int) {
 	c := r.c
 	g := c.nodes[self].dbn.GCS
 	redo := r.snapRedo[dead]
-	buddy := r.buddyOf(dead)
+	buddy := r.nextLive(dead)
 	if redo > 0 {
 		if buddy == self {
 			// Direct dual-ported access to the log device.
@@ -452,7 +445,7 @@ func (r *recState) fenceLocal(j, dead int) {
 	n := c.nodes[j]
 	n.dbn.GCS.FenceNode(dead)
 	n.transport.abortPeer(dead)
-	buddy := r.buddyOf(dead)
+	buddy := r.nextLive(dead)
 	if buddy == j {
 		deadDrives := c.nodes[dead].drives
 		n.dbn.Pager.SetFailover(dead, buddy, deadDrives)
@@ -680,30 +673,19 @@ func (r *recState) warmCache(p *sim.Proc, i int) {
 	}
 }
 
-// buddyOf returns the next live node after dead in the ring: the server
-// whose dual-ported enclosure connection reaches the dead node's disks.
-func (r *recState) buddyOf(dead int) int {
+// nextLive returns the next live node after i in the ring, or i itself if
+// no other node is up. For a dead node it is the buddy, the server whose
+// dual-ported enclosure connection reaches the dead node's disks; for a
+// terminal's downed server it is the failover target.
+func (r *recState) nextLive(i int) int {
 	n := r.c.P.Nodes
 	for k := 1; k < n; k++ {
-		j := (dead + k) % n
+		j := (i + k) % n
 		if !r.down[j] {
 			return j
 		}
 	}
-	return dead
-}
-
-// failoverTarget redirects a terminal whose preferred server is down to the
-// next live node in the ring.
-func (r *recState) failoverTarget(pref int) int {
-	n := r.c.P.Nodes
-	for k := 1; k < n; k++ {
-		j := (pref + k) % n
-		if !r.down[j] {
-			return j
-		}
-	}
-	return pref
+	return i
 }
 
 // newWait registers a recovery wait: a mailbox that collects any number of

@@ -108,7 +108,6 @@ func (c *Cluster) collectTelemetry(m *Metrics) {
 	u.ElapsedSec = c.Sim.Now().Seconds()
 	for _, tl := range c.telLinks {
 		total := tl.link.BusyTime()
-		//lint:allow obsnil every telLink is built around a live instrument at hook time
 		if tl.tel.BusyTotal() != total {
 			u.AttribMismatch++
 		}

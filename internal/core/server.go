@@ -34,6 +34,9 @@ func (c *Cluster) acceptClient(self int, conn *tcp.Conn) {
 	conn.SetOnMessage(func(m tcp.Message) {
 		req := m.Meta.(clientReq)
 		c.spawnOn(self, fmt.Sprintf("worker-%d", self), func(p *sim.Proc) {
+			// The guard stays although Span's methods are nil-safe: a
+			// typed-nil *Span handed to SetSpan is a non-nil interface,
+			// which would defeat trace.Enter's nil-interface fast path.
 			if req.span != nil {
 				req.span.BeginServer(p.Now())
 				p.SetSpan(req.span)

@@ -9,7 +9,6 @@ import (
 	"dclue/internal/tcp"
 	"dclue/internal/telemetry"
 	"dclue/internal/tpcc"
-	"dclue/internal/trace"
 )
 
 // terminal is one TPC-C terminal: per the spec it is tied to a single
@@ -39,7 +38,7 @@ func (c *Cluster) terminal(p *sim.Proc, w, t int) {
 		// draws above happen regardless, so the terminal's stream stays
 		// aligned with fault-free runs.
 		if c.rec != nil && c.rec.down[target] {
-			target = c.rec.failoverTarget(target)
+			target = c.rec.nextLive(target)
 			c.rec.clientRetries++
 		}
 		conn := tcp.Dial(p, c.clientStack, nodeAddrOf(target), PortClient,
@@ -61,10 +60,7 @@ func (c *Cluster) terminal(p *sim.Proc, w, t int) {
 			// Offer the transaction to the trace sampler; the span (if any)
 			// rides the request to the server worker and is finished here
 			// when the reply arrives.
-			var sp *trace.Span
-			if c.tr != nil {
-				sp = c.tr.StartSpan(sent, w*c.P.TerminalsPerWarehouse+t)
-			}
+			sp := c.tr.StartSpan(sent, w*c.P.TerminalsPerWarehouse+t)
 			reply = p.Waiter()
 			conn.Enqueue(clientReq{id: reqID, req: tpcc.Request{Type: ty, Warehouse: w, District: d}, span: sp},
 				tpcc.ReqBytes)
@@ -87,9 +83,7 @@ func (c *Cluster) terminal(p *sim.Proc, w, t int) {
 				c.respTally.n++
 				c.respTally.sum += p.Now() - sent
 				c.respHist.Add((p.Now() - sent).Millis())
-				if sp != nil {
-					sp.Finish(p.Now())
-				}
+				sp.Finish(p.Now())
 			}
 		}
 		conn.Close()

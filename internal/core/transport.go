@@ -8,18 +8,11 @@ import (
 	"dclue/internal/telemetry"
 )
 
-// ipcEnvelope frames a GCS message on the IPC TCP connection.
-type ipcEnvelope struct {
-	from int
-	msg  db.Msg
-}
-
-// hbEnvelope frames a membership heartbeat on the same IPC connection: a
-// small real packet, so failure-detection latency is a property of the
-// fabric (load, loss, RTO dynamics), not a constant.
-type hbEnvelope struct {
-	from int
-}
+// heartbeat is a membership heartbeat on the IPC connection: a small real
+// packet, so failure-detection latency is a property of the fabric (load,
+// loss, RTO dynamics), not a constant. GCS messages ride the same
+// connection as bare db.Msg values; the connection names the sender.
+type heartbeat struct{}
 
 // hbBytes is the heartbeat wire size.
 const hbBytes = 64
@@ -47,7 +40,7 @@ func (t *ipcTransport) Send(to int, m db.Msg, size int) {
 	if conn == nil {
 		panic("core: IPC send before mesh established")
 	}
-	conn.Enqueue(ipcEnvelope{from: t.self, msg: m}, size)
+	conn.Enqueue(m, size)
 }
 
 // sendHeartbeat ships one membership heartbeat. Unlike Send it tolerates a
@@ -59,7 +52,7 @@ func (t *ipcTransport) sendHeartbeat(to int) {
 		// Heartbeats ride the IPC connection but attribute as their own
 		// traffic class, so telemetry can separate liveness chatter from
 		// cache-fusion messaging on the same wire.
-		conn.EnqueueTC(hbEnvelope{from: t.self}, hbBytes, telemetry.ClassHeartbeat)
+		conn.EnqueueTC(heartbeat{}, hbBytes, telemetry.ClassHeartbeat)
 	}
 }
 
@@ -77,7 +70,7 @@ func (t *ipcTransport) abortPeer(peer int) {
 // transports.
 func (c *Cluster) bindIPC(i, j int, conn *tcp.Conn) {
 	c.nodes[i].transport.conns[j] = conn
-	c.hookIPC(i, conn)
+	c.hookIPC(i, j, conn)
 	// The acceptor side hooks its direction in acceptIPC; conn here is the
 	// dialer's endpoint only.
 }
@@ -86,22 +79,23 @@ func (c *Cluster) bindIPC(i, j int, conn *tcp.Conn) {
 func (c *Cluster) acceptIPC(self int, conn *tcp.Conn) {
 	peer := int(conn.Remote())
 	c.nodes[self].transport.conns[peer] = conn
-	c.hookIPC(self, conn)
+	c.hookIPC(self, peer, conn)
 }
 
-// hookIPC delivers inbound envelopes to the node's GCS and heartbeats to
-// its membership service. The node's engine is resolved at delivery time,
-// not hook time: after a crash-restart the same connection-accept closures
-// must reach the rebuilt engine, not a dead one.
-func (c *Cluster) hookIPC(self int, conn *tcp.Conn) {
+// hookIPC delivers the messages node self receives from peer on conn: GCS
+// messages to the node's GCS and heartbeats to its membership service. The
+// node's engine is resolved at delivery time, not hook time: after a
+// crash-restart the same connection-accept closures must reach the rebuilt
+// engine, not a dead one.
+func (c *Cluster) hookIPC(self, peer int, conn *tcp.Conn) {
 	conn.SetOnMessage(func(m tcp.Message) {
-		switch env := m.Meta.(type) {
-		case hbEnvelope:
+		switch msg := m.Meta.(type) {
+		case heartbeat:
 			if c.rec != nil {
-				c.rec.observeHeartbeat(self, env.from)
+				c.rec.observeHeartbeat(self, peer)
 			}
-		case ipcEnvelope:
-			c.nodes[self].dbn.GCS.HandleMessage(env.from, env.msg)
+		case db.Msg:
+			c.nodes[self].dbn.GCS.HandleMessage(peer, msg)
 		}
 	})
 }

@@ -425,9 +425,7 @@ func (g *GCS) SetTelemetry(t *telemetry.GCSTel) { g.tel = t }
 // attached, to the lock-wait timeline.
 func (g *GCS) recordLockWait(start sim.Time) {
 	g.Stats.LockWaitTime.Add((g.sim.Now() - start).Seconds())
-	if g.tel != nil {
-		g.tel.OnLockWait(start, g.sim.Now())
-	}
+	g.tel.OnLockWait(start, g.sim.Now())
 }
 
 type fwdState struct {
@@ -441,9 +439,7 @@ type fwdState struct {
 // sendCtl charges send-side handling and ships a control message.
 func (g *GCS) sendCtl(to int, m Msg) {
 	g.Stats.CtlMsgsSent++
-	if g.tel != nil {
-		g.tel.OnCtlMsg(g.sim.Now())
-	}
+	g.tel.OnCtlMsg(g.sim.Now())
 	g.host.Process(g.costs.CtlMsgHandle, func() { g.tr.Send(to, m, CtlMsgBytes) })
 }
 
@@ -451,9 +447,7 @@ func (g *GCS) sendCtl(to int, m Msg) {
 func (g *GCS) sendData(to int, m Msg, size int) {
 	g.Stats.DataMsgsSent++
 	g.Stats.DataBytes += uint64(size)
-	if g.tel != nil {
-		g.tel.OnDataMsg(g.sim.Now())
-	}
+	g.tel.OnDataMsg(g.sim.Now())
 	g.host.Process(g.costs.DataMsgHandle, func() { g.tr.Send(to, m, size) })
 }
 
@@ -502,9 +496,9 @@ func (g *GCS) dispatch(from int, m Msg) {
 	case MsgLockReq:
 		g.masterLockReq(from, msg)
 	case MsgLockGrant:
-		g.wake(msg.ReqID, msg)
+		g.wake(msg.ReqID, m)
 	case MsgLockDeny:
-		g.wake(msg.ReqID, msg)
+		g.wake(msg.ReqID, m)
 	case MsgLockCancel:
 		g.locks.Cancel(msg.Res, msg.Txn)
 	case MsgLockRelease:

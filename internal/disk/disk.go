@@ -152,9 +152,7 @@ func (d *Drive) pump() {
 	d.lastStart = start
 	d.sim.After(svc, func() {
 		d.busyTime += d.sim.Now() - d.lastStart
-		if d.tel != nil {
-			d.tel.OnIO(d.lastStart, d.sim.Now(), r.Write)
-		}
+		d.tel.OnIO(d.lastStart, d.sim.Now(), r.Write)
 		if r.Failed {
 			d.FaultErrors++
 		} else if r.Write {
@@ -370,9 +368,7 @@ func (l *LogDisk) pump() {
 	l.lastStart = l.sim.Now()
 	l.sim.After(svc, func() {
 		l.busyTime += l.sim.Now() - l.lastStart
-		if l.tel != nil {
-			l.tel.OnIO(l.lastStart, l.sim.Now(), !batch[0].read)
-		}
+		l.tel.OnIO(l.lastStart, l.sim.Now(), !batch[0].read)
 		for _, r := range batch {
 			if r.read {
 				l.Reads++

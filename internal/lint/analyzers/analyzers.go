@@ -1,8 +1,8 @@
 // Package analyzers holds dcluevet's determinism and lifetime lint suite:
-// eight analyzers that enforce, at the source level, the invariants the
-// runtime tests (fingerprint determinism, golden figures, observer
-// non-perturbation, pool balance) can only observe after the fact. Each analyzer documents the invariant it guards;
-// internal/lint/RULES.md is the human catalog.
+// five analyzers that enforce, at the source level, the invariants the
+// runtime tests (fingerprint determinism, golden figures, pool balance) can
+// only observe after the fact. Each analyzer documents the invariant it
+// guards; internal/lint/RULES.md is the human catalog.
 package analyzers
 
 import (
@@ -18,10 +18,7 @@ func All() []*analysis.Analyzer {
 		Simrand,
 		Maporder,
 		Goroutine,
-		Floatsum,
-		Obsnil,
 		Poolown,
-		Eventid,
 	}
 }
 

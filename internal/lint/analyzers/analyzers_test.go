@@ -34,26 +34,14 @@ func TestGoroutineContinuationOnly(t *testing.T) {
 	linttest.Run(t, analyzers.Goroutine, linttest.Dir("continuation"))
 }
 
+// TestFloatsum runs maporder over the float-accumulation fixture: float
+// sums in map order are one of maporder's order-sensitive effects.
 func TestFloatsum(t *testing.T) {
-	linttest.Run(t, analyzers.Floatsum, linttest.Dir("floatsum"))
-}
-
-// TestTracenil and TestTelemnil run the obsnil analyzer over its two
-// fixture directories, one per observer package.
-func TestTracenil(t *testing.T) {
-	linttest.Run(t, analyzers.Obsnil, linttest.Dir("tracenil"))
-}
-
-func TestTelemnil(t *testing.T) {
-	linttest.Run(t, analyzers.Obsnil, linttest.Dir("telemnil"))
+	linttest.Run(t, analyzers.Maporder, linttest.Dir("floatsum"))
 }
 
 func TestPoolown(t *testing.T) {
 	linttest.Run(t, analyzers.Poolown, linttest.Dir("poolown"))
-}
-
-func TestEventid(t *testing.T) {
-	linttest.Run(t, analyzers.Eventid, linttest.Dir("eventid"))
 }
 
 // TestPolicyExemptions pins the sanctioned-package lists: a rename that

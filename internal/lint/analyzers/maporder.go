@@ -13,13 +13,15 @@ import (
 // appends to an outer slice, sends on a channel, writes output, or
 // schedules simulator events produces a different observable order every
 // run — exactly the nondeterminism the byte-identical sweep tables and
-// golden fixtures forbid. Commutative bodies (counting, set insertion,
-// integer sums, delete) pass; to iterate in order, sort the keys into a
-// slice first and range over that. Float accumulation inside a map range is
-// Floatsum's half of this rule.
+// golden fixtures forbid. Float accumulation into an outer variable is
+// order-sensitive too: floating-point addition is not associative, so the
+// same values summed in another order can differ in the low bits, and
+// every metric feeds the run fingerprint. Commutative bodies (counting, set
+// insertion, integer sums, delete) pass; to iterate in order, sort the keys
+// into a slice first and range over that.
 var Maporder = &analysis.Analyzer{
 	Name: "maporder",
-	Doc:  "forbid order-sensitive effects (append to outer slice, channel send, output, event scheduling) inside range over a map; sort keys first",
+	Doc:  "forbid order-sensitive effects (append to outer slice, float accumulation, channel send, output, event scheduling) inside range over a map; sort keys first",
 	Run:  runMaporder,
 }
 
@@ -179,6 +181,7 @@ func checkMapRangeBody(pass *analysis.Pass, rs *ast.RangeStmt, f *ast.File, sort
 			pass.Reportf(n.Pos(), "channel send inside range over map: iteration order is random — sort the keys and range the slice")
 		case *ast.AssignStmt:
 			checkAppendToOuter(pass, rs, n, f, sorts)
+			checkFloatAccum(pass, rs, n)
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				what, bad := orderSensitiveCallees[sel.Sel.Name]
@@ -235,6 +238,35 @@ func checkAppendToOuter(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignSt
 				types.ExprString(call.Args[0]))
 		}
 	}
+}
+
+// accumOps are the compound assignments that accumulate into their target.
+var accumOps = map[token.Token]bool{
+	token.ADD_ASSIGN: true,
+	token.SUB_ASSIGN: true,
+	token.MUL_ASSIGN: true,
+	token.QUO_ASSIGN: true,
+}
+
+// checkFloatAccum flags `x += v` (and -=, *=, /=) where x is a float that
+// outlives the range statement: float arithmetic is not associative, so
+// the result depends on the iteration order.
+func checkFloatAccum(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt) {
+	if !accumOps[as.Tok] || len(as.Lhs) != 1 {
+		return
+	}
+	lhs := as.Lhs[0]
+	if !isFloat(pass.TypeOf(lhs)) || !declaredOutside(pass, lhs, rs) {
+		return
+	}
+	pass.Reportf(as.Pos(),
+		"float accumulation into %s inside range over map: float addition is order-sensitive and the iteration order is random — sort the keys first",
+		types.ExprString(lhs))
+}
+
+func isFloat(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 // declaredOutside reports whether expr refers to storage declared outside

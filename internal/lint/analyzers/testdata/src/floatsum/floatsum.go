@@ -1,4 +1,5 @@
-// Fixture for the floatsum analyzer: order-sensitive float accumulation.
+// Fixture for maporder's float-accumulation check: order-sensitive float
+// accumulation inside a map range.
 package floatsum
 
 // Metrics stands in for the fingerprinted result struct.
@@ -18,6 +19,17 @@ func intoField(m *Metrics, byNode map[int]float64) {
 	for _, u := range byNode {
 		m.Util += u // want `float accumulation into m\.Util inside range over map`
 	}
+}
+
+// A sum inside nested map ranges is reported once, by the inner range.
+func nested(byNode map[int]map[int]float64) float64 {
+	var sum float64
+	for _, inner := range byNode {
+		for _, u := range inner {
+			sum += u // want `float accumulation into sum inside range over map`
+		}
+	}
+	return sum
 }
 
 // Integer accumulation commutes exactly: no diagnostic.
@@ -41,7 +53,7 @@ func sumSlice(xs []float64) float64 {
 func suppressed(byNode map[int]float64) float64 {
 	var sum float64
 	for _, u := range byNode {
-		sum += u //lint:allow floatsum values are exact powers of two, addition commutes
+		sum += u //lint:allow maporder values are exact powers of two, addition commutes
 	}
 	return sum
 }

@@ -119,13 +119,11 @@ func (l *Link) serDone() {
 	l.cur = nil
 	now := l.net.sim.Now()
 	l.busyTime += now - l.lastStart
-	if l.tel != nil {
-		// The identical integer slice just added to busyTime, attributed to
-		// exactly one class: per-class sums equal BusyTime exactly. Recorded
-		// before the fault-drop check because a dropped frame still consumed
-		// its wire time.
-		l.tel.OnTransmit(pkt.TC, l.lastStart, now, pkt.Size)
-	}
+	// The identical integer slice just added to busyTime, attributed to
+	// exactly one class: per-class sums equal BusyTime exactly. Recorded
+	// before the fault-drop check because a dropped frame still consumed
+	// its wire time.
+	l.tel.OnTransmit(pkt.TC, l.lastStart, now, pkt.Size)
 	l.busy = false
 	if l.down || (l.lossP > 0 && l.faultRnd != nil && l.faultRnd.Float64() < l.lossP) {
 		// Lost on the wire: the frame consumed its serialization slot

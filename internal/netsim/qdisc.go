@@ -81,12 +81,11 @@ func (q *Qdisc) Enqueue(pkt *Packet) {
 	}
 	q.q[c].Push(pkt)
 	q.size[c] += pkt.Size
-	if d := q.Depth(); d > q.MaxDepth {
+	d := q.Depth()
+	if d > q.MaxDepth {
 		q.MaxDepth = d
 	}
-	if q.tel != nil {
-		q.tel.OnDepth(q.net.sim.Now(), q.Depth())
-	}
+	q.tel.OnDepth(q.net.sim.Now(), d)
 	if q.link != nil {
 		q.link.kick()
 	}
@@ -99,7 +98,7 @@ func (q *Qdisc) Enqueue(pkt *Packet) {
 //pool:alloc
 func (q *Qdisc) dequeue() *Packet {
 	pkt := q.pick()
-	if pkt != nil && q.tel != nil {
+	if pkt != nil {
 		q.tel.OnDepth(q.net.sim.Now(), q.Depth())
 	}
 	return pkt

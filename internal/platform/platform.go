@@ -192,10 +192,7 @@ func (c *CPU) Stop() {
 	c.dead = true
 	c.irqQ.Clear()
 	for _, svc := range c.services {
-		if c.sim.Scheduled(svc.ev) {
-			c.sim.Cancel(svc.ev)
-		}
-		svc.ev = sim.EventID{}
+		c.sim.Cancel(svc.ev)
 		svc.task = irqTask{}
 		svc.busy = false
 	}
@@ -314,9 +311,7 @@ func (c *CPU) runOn(p *sim.Proc, pathLen, extraCycles float64) {
 	c.dispatches++
 	c.res.Acquire(p)
 	d := c.duration(pathLen) + sim.Time(c.slowFactor*extraCycles/c.cfg.ClockHz*float64(sim.Second))
-	if c.tel != nil {
-		c.tel.OnBusy(false, p.Now(), p.Now()+d)
-	}
+	c.tel.OnBusy(false, p.Now(), p.Now()+d)
 	p.Sleep(d)
 	c.res.Release()
 	c.instrSinceTick += pathLen
@@ -375,10 +370,8 @@ func (svc *irqService) doGrant() {
 		return
 	}
 	d := c.duration(svc.task.pathLen)
-	if c.tel != nil {
-		now := c.sim.Now()
-		c.tel.OnBusy(true, now, now+d)
-	}
+	now := c.sim.Now()
+	c.tel.OnBusy(true, now, now+d)
 	svc.ev = c.sim.After(d, svc.finish)
 }
 
@@ -386,7 +379,6 @@ func (svc *irqService) doGrant() {
 // the completion, then pull the next queued task (if any) on this channel.
 func (svc *irqService) doFinish() {
 	c := svc.cpu
-	svc.ev = sim.EventID{}
 	c.res.Release()
 	task := svc.task
 	svc.task = irqTask{}

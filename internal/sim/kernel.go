@@ -45,7 +45,9 @@ func bucketIdx(b, pos int) int32 {
 // EventID identifies a scheduled event so it can be cancelled. It is a value
 // (slot index + generation), not a pointer: holding an EventID after the
 // event fired or was cancelled pins nothing, and cancelling it is a detected
-// no-op even if the kernel has recycled the slot for a new event.
+// no-op even if the kernel has recycled the slot for a new event. A holder
+// therefore never clears a dead handle; Scheduled is the one test for
+// whether its timer is still armed.
 type EventID struct {
 	slot int32
 	gen  uint32

@@ -45,7 +45,7 @@ type waitSlot struct {
 	gen    uint32 // generation of the newest token
 	state  waitState
 	parked bool    // in Await
-	timer  EventID // Await's timeout while armed
+	timer  EventID // Await's latest timeout; stale once it fires or is cancelled
 	val    any     // the delivered value, until Await takes it
 }
 
@@ -292,8 +292,7 @@ func (w Waiter) Deliver(v any) {
 	slot := &w.p.wait
 	slot.val, slot.state = v, waitFull
 	if slot.parked {
-		w.p.sim.Cancel(slot.timer) // a no-op on the zero EventID: no timeout armed
-		slot.timer = EventID{}
+		w.p.sim.Cancel(slot.timer) // a no-op on a fired or stale timer
 		w.p.sim.After(0, w.p.wakeFn)
 	}
 }
@@ -326,7 +325,6 @@ func (p *Proc) Await(d Time) (v any, ok bool) {
 // timeout is Await's timer event. A delivery cancels it, so it ends a wait
 // that is still armed.
 func (p *Proc) timeout() {
-	p.wait.timer = EventID{}
 	p.wait.state = waitIdle
 	p.wake()
 }

@@ -56,7 +56,6 @@ type Conn struct {
 	rttvar    sim.Time
 	rto       sim.Time
 	rtoTimer  sim.EventID
-	rtoArmed  bool
 	rtoFn     func() // prebuilt onRTO continuation (no per-arm closure)
 	rtoCount  int    // consecutive expiries
 	cutPoint  int    // sndNxt at last ECN-induced cut
@@ -275,7 +274,7 @@ func (c *Conn) trySend() {
 		c.sendControl(segFIN)
 		c.armRTO()
 	}
-	if c.flight() > 0 && !c.rtoArmed {
+	if c.flight() > 0 && !c.stack.dom.sim.Scheduled(c.rtoTimer) {
 		c.armRTO()
 	}
 }
@@ -539,24 +538,16 @@ func (c *Conn) armRTO() {
 	if max := c.stack.dom.cfg.MaxRTO; d > max {
 		d = max
 	}
-	c.rtoArmed = true
 	c.rtoTimer = c.stack.dom.sim.After(d, c.rtoFn)
 }
 
-func (c *Conn) disarmRTO() {
-	if c.rtoArmed {
-		c.stack.dom.sim.Cancel(c.rtoTimer)
-		c.rtoArmed = false
-	}
-	// Drop the handle either way so a dead connection does not pin pool
-	// bookkeeping and a stale ID can never be cancelled twice.
-	c.rtoTimer = sim.EventID{}
-}
+// disarmRTO stops the retransmission timer. A fired or cancelled timer's
+// handle is stale, so cancelling it again is a no-op.
+func (c *Conn) disarmRTO() { c.stack.dom.sim.Cancel(c.rtoTimer) }
 
-// onRTO fires when the retransmission timer expires.
+// onRTO fires when the retransmission timer expires. The kernel frees the
+// event's slot before running it, so rtoTimer no longer reads as scheduled.
 func (c *Conn) onRTO() {
-	c.rtoArmed = false
-	c.rtoTimer = sim.EventID{}
 	c.rtoCount++
 	if c.rtoCount > c.maxRetx {
 		// Too many consecutive losses: reset, notifying the peer.

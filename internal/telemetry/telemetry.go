@@ -6,9 +6,10 @@
 // rates and lock waits) and the recovery coordinator (phase timelines).
 //
 // The contract mirrors the trace layer's: a run carries a nil *Registry by
-// default, every hot-path hook site guards with `if tel != nil` (enforced
-// by the obsnil dcluevet analyzer), and instruments do pure bookkeeping
-// inside existing event handlers — no calendar events, no randomness, no
+// default, every per-event hook returns at once on a nil instrument (a
+// wrapper small enough to inline, so an unobserved call site pays one
+// pointer test and no call), and instruments do pure bookkeeping inside
+// existing event handlers — no calendar events, no randomness, no
 // allocation after registration — so an instrumented run is provably
 // bit-identical to an uninstrumented one (Metrics.FingerprintModel is the
 // regression hook).
@@ -75,7 +76,7 @@ func Classes() [NumClasses]Class {
 // exportable as JSONL (WriteFile); bucket 0 keeps scalars only.
 //
 // A nil *Collector is the fast path: no registry is created and every hook
-// site short-circuits on its nil instrument handle.
+// returns at once on its nil instrument handle.
 type Collector struct {
 	mu     sync.Mutex
 	bucket sim.Time
@@ -204,8 +205,14 @@ type LinkTel struct {
 }
 
 // OnTransmit records one packet's serialization interval [from, to)
-// attributed to class cls.
+// attributed to class cls. On a nil LinkTel it does nothing.
 func (l *LinkTel) OnTransmit(cls Class, from, to sim.Time, bytes int) {
+	if l != nil {
+		l.onTransmit(cls, from, to, bytes)
+	}
+}
+
+func (l *LinkTel) onTransmit(cls Class, from, to sim.Time, bytes int) {
 	if cls >= NumClasses {
 		cls = ClassOther
 	}
@@ -241,8 +248,15 @@ type QueueTel struct {
 	lastVal float64
 }
 
-// OnDepth records that the queue's occupancy changed to bytes at now.
+// OnDepth records that the queue's occupancy changed to bytes at now. On a
+// nil QueueTel it does nothing.
 func (q *QueueTel) OnDepth(now sim.Time, bytes int) {
+	if q != nil {
+		q.onDepth(now, bytes)
+	}
+}
+
+func (q *QueueTel) onDepth(now sim.Time, bytes int) {
 	if q.tl != nil && now > q.last {
 		q.tl.AddSpan(q.last, now, q.lastVal*(now-q.last).Seconds())
 	}
@@ -265,7 +279,14 @@ type CPUTel struct {
 }
 
 // OnBusy records one busy interval [from, to); irq selects the component.
+// On a nil CPUTel it does nothing.
 func (c *CPUTel) OnBusy(irq bool, from, to sim.Time) {
+	if c != nil {
+		c.onBusy(irq, from, to)
+	}
+}
+
+func (c *CPUTel) onBusy(irq bool, from, to sim.Time) {
 	d := to - from
 	if irq {
 		c.IRQBusy += d
@@ -298,8 +319,15 @@ type DiskTel struct {
 	tl *stats.Bucketed // busy seconds per bucket
 }
 
-// OnIO records one service interval [from, to).
+// OnIO records one service interval [from, to). On a nil DiskTel it does
+// nothing.
 func (d *DiskTel) OnIO(from, to sim.Time, write bool) {
+	if d != nil {
+		d.onIO(from, to, write)
+	}
+}
+
+func (d *DiskTel) onIO(from, to sim.Time, write bool) {
 	d.Busy += to - from
 	if write {
 		d.Writes++
@@ -325,8 +353,15 @@ type GCSTel struct {
 	tlWait        *stats.Bucketed // wait seconds per bucket
 }
 
-// OnCtlMsg counts one control message sent at now.
+// OnCtlMsg counts one control message sent at now. This and the other
+// GCSTel hooks do nothing on a nil GCSTel.
 func (g *GCSTel) OnCtlMsg(now sim.Time) {
+	if g != nil {
+		g.onCtlMsg(now)
+	}
+}
+
+func (g *GCSTel) onCtlMsg(now sim.Time) {
 	g.CtlMsgs++
 	if g.tlCtl != nil {
 		g.tlCtl.AddAt(now, 1)
@@ -335,6 +370,12 @@ func (g *GCSTel) OnCtlMsg(now sim.Time) {
 
 // OnDataMsg counts one data (block-transfer) message sent at now.
 func (g *GCSTel) OnDataMsg(now sim.Time) {
+	if g != nil {
+		g.onDataMsg(now)
+	}
+}
+
+func (g *GCSTel) onDataMsg(now sim.Time) {
 	g.DataMsgs++
 	if g.tlData != nil {
 		g.tlData.AddAt(now, 1)
@@ -343,6 +384,12 @@ func (g *GCSTel) OnDataMsg(now sim.Time) {
 
 // OnLockWait records one lock wait spanning [from, to).
 func (g *GCSTel) OnLockWait(from, to sim.Time) {
+	if g != nil {
+		g.onLockWait(from, to)
+	}
+}
+
+func (g *GCSTel) onLockWait(from, to sim.Time) {
 	g.LockWait.Add((to - from).Seconds())
 	if g.tlWait != nil {
 		g.tlWait.AddSpan(from, to, (to - from).Seconds())

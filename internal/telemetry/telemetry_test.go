@@ -132,3 +132,34 @@ func TestQueueTelOccupancy(t *testing.T) {
 		t.Fatalf("bucket 0 byte-seconds %v, want %v", got, want)
 	}
 }
+
+// TestNilHooks calls every per-event hook on a typed-nil instrument, as an
+// unobserved run does at each hook site: none may panic or allocate.
+func TestNilHooks(t *testing.T) {
+	var (
+		l *LinkTel
+		q *QueueTel
+		c *CPUTel
+		d *DiskTel
+		g *GCSTel
+	)
+	hooks := []struct {
+		name string
+		call func()
+	}{
+		{"LinkTel.OnTransmit", func() { l.OnTransmit(ClassIPC, 1, 2, 64) }},
+		{"QueueTel.OnDepth", func() { q.OnDepth(1, 64) }},
+		{"CPUTel.OnBusy", func() { c.OnBusy(true, 1, 2) }},
+		{"DiskTel.OnIO", func() { d.OnIO(1, 2, false) }},
+		{"GCSTel.OnCtlMsg", func() { g.OnCtlMsg(1) }},
+		{"GCSTel.OnDataMsg", func() { g.OnDataMsg(1) }},
+		{"GCSTel.OnLockWait", func() { g.OnLockWait(1, 2) }},
+	}
+	for _, h := range hooks {
+		t.Run(h.name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(100, h.call); n != 0 {
+				t.Errorf("%s on a nil instrument allocates %v times per call", h.name, n)
+			}
+		})
+	}
+}

@@ -13,7 +13,9 @@
 //
 //   - Zero cost when disabled. Model code calls the package-level
 //     Enter/Exit helpers, which reduce to a single nil-interface check when
-//     the current process carries no span.
+//     the current process carries no span. StartSpan on a nil *Run returns
+//     nil and Finish on a nil *Span does nothing, so the terminal calls
+//     them without asking whether tracing is on.
 //   - Non-perturbing when enabled. Span bookkeeping reads the clock and
 //     writes collector memory; it never schedules events, blocks, or draws
 //     random numbers, so the simulated trajectory — and therefore every
@@ -218,9 +220,16 @@ func (r *Run) Sampled() uint64 { return r.sampled }
 func (r *Run) Dropped() uint64 { return r.dropped }
 
 // StartSpan offers one transaction to the sampler at its send time and
-// returns a span for it, or nil when the transaction is not sampled. tid
-// identifies the issuing terminal (export thread id).
+// returns a span for it, or nil when the transaction is not sampled or r is
+// nil (tracing off). tid identifies the issuing terminal (export thread id).
 func (r *Run) StartSpan(now sim.Time, tid int) *Span {
+	if r == nil {
+		return nil
+	}
+	return r.startSpan(now, tid)
+}
+
+func (r *Run) startSpan(now sim.Time, tid int) *Span {
 	r.reqSeen++
 	if (r.reqSeen-1)%r.sampleEvery != 0 {
 		return nil
@@ -332,7 +341,14 @@ func (s *Span) EndServer(now sim.Time) {
 // client-observed remainder becomes the fabric phase and every accumulator
 // lands in the run's aggregates. A span whose reply never arrives is simply
 // never finished and never recorded (matching the response-time tally).
+// Finish on a nil Span (an unsampled transaction) does nothing.
 func (s *Span) Finish(now sim.Time) {
+	if s != nil {
+		s.finish(now)
+	}
+}
+
+func (s *Span) finish(now sim.Time) {
 	if s.inServer {
 		// Defensive: a reply observed before EndServer cannot happen under
 		// the strict hand-off kernel; close the books anyway.

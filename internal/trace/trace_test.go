@@ -91,6 +91,14 @@ func TestUnsampledSpanIsNil(t *testing.T) {
 	if s := r.StartSpan(0, 0); s != nil {
 		t.Fatal("second request sampled at stride 2")
 	}
+	// Tracing off: a nil run samples nothing, and finishing the nil span
+	// it hands out does nothing.
+	var off *Run
+	sp := off.StartSpan(0, 0)
+	if sp != nil {
+		t.Fatal("StartSpan on a nil Run returned a span")
+	}
+	sp.Finish(1)
 }
 
 // TestEnterExitHelpers drives the package-level helpers through a real
